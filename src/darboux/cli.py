@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", metavar="NAME",
                    help="print a catalog series (name, chart:name, or spec-id.left/right)")
     p.add_argument("--order", type=int,
-                   default=int(os.environ.get("DARBOUX_ORDER", "64")),
                    help="truncation order (default 64; env DARBOUX_ORDER)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", metavar="FILE", help="also write the JSON report to a file")
@@ -129,6 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.order is None:
+        raw = os.environ.get("DARBOUX_ORDER", "64")
+        try:
+            args.order = int(raw)
+        except ValueError:
+            print(f"error: DARBOUX_ORDER must be an integer, got {raw!r}", file=sys.stderr)
+            return 2
     if args.list:
         print(list_checks())
         return 0

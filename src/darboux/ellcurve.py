@@ -14,6 +14,7 @@ never tie).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .polyalg import RationalMap, UniPoly, poly, rational_roots
 from .report import Mismatch, VerificationReport, failed, passed
@@ -323,8 +324,13 @@ def cf(curve: Curve, a_coeffs, b_coeffs=(), den_coeffs=(1,)) -> CurveFunction:
 # local expansions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=128)
 def local_expansion(curve: Curve, pt, n: int):
     """(u(t), v(t)) at a rational point, exact below t-order n.
+
+    Memoized per (curve, point, depth): the divisor checks and the curve
+    charts expand at the same few points again and again, and the cost is
+    cubic in the depth.
 
     At a 2-torsion point the parameter is t = v; at a generic affine point
     t = u - u0.  The place at infinity carries no rational Puiseux chart on

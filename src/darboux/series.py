@@ -9,13 +9,17 @@ is never an artifact of silent precision loss.
 
 Canonical form: coeffs[0] != 0, except for the zero series which carries
 an empty tuple and lead == order.
+
+Every product of coefficient lists (``ps_mul``, the Newton inverse behind
+``ps_div`` and the Horner loop of ``ps_compose``) runs on one exact integer
+kernel; see "the product kernel" below.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
-from .scalars import QQ, ZERO, ONE, scalar_inv
+from .scalars import QQ, ZERO, ONE, Omega, scalar_inv
 
 __all__ = [
     "PuiseuxSeries",
@@ -243,6 +247,145 @@ def _exp_to_grid_floorplus(exp, grid: int) -> int:
     return _ceil_div(int(e.numerator) * grid, int(e.denominator))
 
 
+# -- the product kernel ------------------------------------------------------
+#
+# A coefficient list is multiplied as an integer vector (re, im, d):
+# coefficient i is (re[i] + im[i]*w) / d over one common denominator d, and
+# im is None when every coefficient is rational.  Both factors are first
+# compressed onto their support sublattice (the gcd s of the nonzero
+# offsets), so that a sparse series on grid 42 or 60 packs densely.  Each
+# integer list is then packed into one signed big integer with a slot of w
+# bytes per coefficient (Kronecker substitution): the packed product is the
+# product of the packed factors, one big multiplication, and its first slots
+# are read back.  Q(w) products take three multiplications (w*w = -1 - w).
+# Results with an Omega factor come back as Omega, others as rationals.
+
+
+def _vec(coeffs):
+    """Integer vector (re, im, d) of a list of exact scalars."""
+    if not any(isinstance(c, Omega) for c in coeffs):
+        d = lcm(*{int(c.denominator) for c in coeffs})
+        return [int(c.numerator) * (d // int(c.denominator)) for c in coeffs], None, d
+    parts = [(c.a, c.b) if isinstance(c, Omega) else (c, ZERO) for c in coeffs]
+    d = lcm(*{int(x.denominator) for p in parts for x in p})
+    return ([int(x.numerator) * (d // int(x.denominator)) for x, _ in parts],
+            [int(y.numerator) * (d // int(y.denominator)) for _, y in parts], d)
+
+
+def _scalars(v):
+    """Coefficient list of an integer vector; zero slots are ZERO."""
+    re, im, d = v
+    if im is None:
+        return [QQ(x, d) if x else ZERO for x in re]
+    return [Omega(QQ(x, d), QQ(y, d)) if x or y else ZERO for x, y in zip(re, im)]
+
+
+def _pack(v, w):
+    """sum(v[i] * 2**(8*w*i)) for signed slot values v[i] of w bytes."""
+    raw = b"".join(c.to_bytes(w, "little", signed=True) for c in v)
+    # each negative slot borrowed 2**(8*w) from the slot above it
+    one, none = b"\x01" + bytes(w - 1), bytes(w)
+    borrow = bytes(w) + b"".join(one if c < 0 else none for c in v)
+    return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
+
+
+def _unpack(c, w, m):
+    """The first m slot values of a packed integer; each must lie in
+    [-2**(8*w-1), 2**(8*w-1))."""
+    raw = (c & ((1 << (8 * w * m)) - 1)).to_bytes(w * m, "little")
+    half, full = 1 << (8 * w - 1), 1 << (8 * w)
+    out, carry = [], 0
+    for i in range(0, w * m, w):
+        v = int.from_bytes(raw[i:i + w], "little") + carry
+        carry = v >= half
+        out.append(v - full if carry else v)
+    return out
+
+
+def _kmul(x, y, n):
+    """First n coefficients of the product of two integer vectors."""
+    (xr, xi, dx), (yr, yi, dy) = x, y
+    parts = [None if v is None else v[:n] for v in (xr, xi, yr, yi)]
+    s = gcd(*[i for v in parts if v is not None for i, c in enumerate(v) if c]) or 1
+    if s > 1:
+        parts = [None if v is None else v[::s] for v in parts]
+    xr, xi, yr, yi = parts
+    m = -(-n // s)
+    # a product slot sums at most `count` pairs, each contributing below
+    # 2**(bx + by) in absolute value, or below 3 * 2**(bx + by) when both
+    # sides are in Q(w) (im takes ar*bi + ai*br - ai*bi); one bit for the sign
+    bx = max(map(int.bit_length, xr + (xi or [])))
+    by = max(map(int.bit_length, yr + (yi or [])))
+    count = min(len(xr), len(yr), m)
+    bits = bx + by + count.bit_length() + 1
+    if xi is not None and yi is not None:
+        bits += 2
+    w = -(-bits // 8)
+    a, b = _pack(xr, w), _pack(yr, w)
+    p = a * b
+    re = _unpack(p, w, m)
+    im = None
+    if xi is not None and yi is not None:
+        ai, bi = _pack(xi, w), _pack(yi, w)
+        q = ai * bi
+        re = _unpack(p - q, w, m)
+        im = _unpack((a + ai) * (b + bi) - p - 2 * q, w, m)
+    elif xi is not None:
+        im = _unpack(_pack(xi, w) * b, w, m)
+    elif yi is not None:
+        im = _unpack(a * _pack(yi, w), w, m)
+    if s > 1:
+        re = _spread(re, s, n)
+        im = None if im is None else _spread(im, s, n)
+    return re, im, dx * dy
+
+
+def _spread(v, s, n):
+    out = [0] * n
+    out[::s] = v
+    return out
+
+
+def _reduced(re, im, d):
+    """The vector with the common content of its numerators and d removed."""
+    g = gcd(d, *re, *(im or ()))
+    if g == 1:
+        return re, im, d
+    return ([c // g for c in re], None if im is None else [c // g for c in im], d // g)
+
+
+def _unit_inverse(x, n):
+    """First n coefficients of 1/x for an integer vector x with x[0] != 0.
+
+    Newton iteration y <- y - y*(x*y - 1) doubles the known terms per step:
+    when x*y = 1 + O(z^m), the product is 1 + O(z^2m) once y absorbs the
+    correction, and only the part of x*y - 1 from z^m on is multiplied.
+    """
+    xr, xi, dx = x
+    r0 = xr[0]
+    if xi is None:
+        y = ([dx], None, r0) if r0 > 0 else ([-dx], None, -r0)
+    else:
+        # 1/(r + i*w) = (r - i - i*w) / (r*r - r*i + i*i), a positive norm
+        i0 = xi[0]
+        y = ([dx * (r0 - i0)], [-dx * i0], r0 * r0 - r0 * i0 + i0 * i0)
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        er, ei, de = _kmul(x, y, m2)
+        high = (er[m:], None if ei is None else ei[m:], de)
+        tr, ti, _ = _kmul(y, high, m2 - m)
+        # y, x*y and the correction all have a w part exactly when x has one
+        yr, yi, dy = y
+        re = [c * de for c in yr] + [-c for c in tr]
+        im = None if yi is None else [c * de for c in yi] + [-c for c in ti]
+        y = _reduced(re, im, dy * de)
+        m = m2
+    return y
+
+
+# -- series operations -------------------------------------------------------
+
 def ps_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     """Exact product; order = min(Na + lead_b, Nb + lead_a)."""
     g = _lcm(a.grid, b.grid)
@@ -253,43 +396,29 @@ def ps_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     if a.is_zero() or b.is_zero():
         return PuiseuxSeries(g, order, (), order)
     lead = a.lead + b.lead
-    n = order - lead
-    out = [ZERO] * n
-    bc = b.coeffs
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        if i >= n:
-            break
-        for j in range(min(len(bc), n - i)):
-            cb = bc[j]
-            if cb:
-                out[i + j] = out[i + j] + ca * cb
-    return PuiseuxSeries.make(g, lead, out, order)
-
-
-def _unit_inverse(coeffs, n):
-    """Inverse of a unit power series given by coeffs (c0 != 0), to n terms."""
-    c0inv = scalar_inv(coeffs[0])
-    out = [c0inv] + [ZERO] * (n - 1)
-    for k in range(1, n):
-        s = ZERO
-        for j in range(1, min(k, len(coeffs) - 1) + 1):
-            if coeffs[j] and out[k - j]:
-                s = s + coeffs[j] * out[k - j]
-        out[k] = -c0inv * s
-    return out
+    out = _kmul(_vec(a.coeffs), _vec(b.coeffs), order - lead)
+    return PuiseuxSeries.make(g, lead, _scalars(out), order)
 
 
 def ps_div(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    """Exact quotient a/b; b must not be the zero series."""
+    """Exact quotient a/b; b must not be the zero series.
+
+    Same result and window as ps_mul(a, 1/b), where 1/b is known to as
+    many terms as b.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero series")
     g = _lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
     rel = b.order - b.lead
-    inv = PuiseuxSeries.make(g, -b.lead, _unit_inverse(b.coeffs, rel), -b.lead + rel)
-    return ps_mul(a, inv)
+    la = a.lead if a.coeffs else a.order
+    order = min(a.order - b.lead, rel - b.lead + la)
+    if a.is_zero():
+        return PuiseuxSeries(g, order, (), order)
+    lead = a.lead - b.lead
+    n = order - lead
+    out = _kmul(_vec(a.coeffs), _unit_inverse(_vec(b.coeffs), n), n)
+    return PuiseuxSeries.make(g, lead, _scalars(out), order)
 
 
 def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
@@ -305,6 +434,8 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
         raise PowBaseError(
             f"series power requires unit coefficient 1, got {a.coeffs[0]!r}"
         )
+    if r == 1:
+        return a
     new_lead = a.lead_exponent * r
     g = _lcm(a.grid, int(new_lead.denominator))
     rel = a.order - a.lead
@@ -324,6 +455,44 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
     return PuiseuxSeries.make(g, lead, coeffs, lead + rel * f)
 
 
+def _horner(a: PuiseuxSeries, b: PuiseuxSeries, stop: int) -> PuiseuxSeries:
+    """sum of a_k b^k over k >= 0, exact below grid index stop of b's grid.
+
+    After step k the accumulator still gets multiplied by b k more times,
+    which lifts it by k*v(b); so it is kept only below stop - k*v(b), and
+    the steps with k*v(b) >= stop are skipped.  The coefficients of b it
+    uses are known: a term a_j b^(j-k-1) of the accumulator with j >= 1
+    starts at (j-k-1)*v(b), and the bound on stop in ps_compose covers it.
+    """
+    vb = b.lead
+    bvec = _vec(b.coeffs)
+    re, im, d = [], None, 1
+    for k in range(min(a.order - 1, (stop - 1) // vb), -1, -1):
+        cut = stop - k * vb
+        if any(re) or (im is not None and any(im)):
+            re, im, d = _kmul((re, im, d), bvec, cut - vb)
+            re = [0] * vb + re
+            im = None if im is None else [0] * vb + im
+        else:
+            re, im = [0] * cut, None if im is None else [0] * cut
+        idx = k - a.lead
+        c = a.coeffs[idx] if 0 <= idx < len(a.coeffs) else ZERO
+        if c:
+            cr, ci, cd = _vec([c])
+            dn = lcm(d, cd)
+            if dn != d:
+                re = [v * (dn // d) for v in re]
+                im = None if im is None else [v * (dn // d) for v in im]
+            if ci is not None and im is None:
+                im = [0] * cut
+            re[0] += cr[0] * (dn // cd)
+            if ci is not None:
+                im[0] += ci[0] * (dn // cd)
+            d = dn
+        re, im, d = _reduced(re, im, d)
+    return PuiseuxSeries.make(b.grid, 0, _scalars((re, im, d)), stop)
+
+
 def ps_compose(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     """a(b) for an integer-grid a and positive-valuation b."""
     if a.grid != 1:
@@ -340,14 +509,11 @@ def ps_compose(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     if a.is_zero():
         return PuiseuxSeries.zero(bound, b.grid)
     acc = PuiseuxSeries.zero(bound, b.grid)
-    # nonnegative exponents: Horner from the top
-    if a.order > 0:
-        for k in range(a.order - 1, -1, -1):
-            acc = ps_mul(acc, b).truncate(bound)
-            idx = k - a.lead
-            c = a.coeffs[idx] if 0 <= idx < len(a.coeffs) else ZERO
-            if c:
-                acc = acc + PuiseuxSeries.const(c, bound, b.grid)
+    # nonnegative exponents: Horner from the top, unless they all land
+    # beyond the bound (a negative lead of a can pull it to 0 or below)
+    stop = _exp_to_grid_floorplus(bound, b.grid)
+    if a.order > 0 and stop > 0:
+        acc = _horner(a, b, stop)
     if a.lead < 0:
         binv = ps_div(PuiseuxSeries.const(ONE, nb - vb, b.grid), b)
         p = binv

@@ -44,6 +44,18 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_bad_order_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DARBOUX_ORDER", "abc")
+    for argv in (["--list"], ["--spec", "thm-3A-1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "DARBOUX_ORDER must be an integer, got 'abc'" in captured.err
+        assert captured.out == ""
+    # an explicit --order does not read the variable
+    assert main(["--spec", "thm-3A-1", "--order", "12"]) == 0
+    capsys.readouterr()
+
+
 def test_list_contains_anchors(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,318 @@
+"""The integer product kernel against the coefficient loops it replaced.
+
+The reference functions below are the former implementations of ps_mul
+(a direct convolution of rationals), of the unit inverse behind ps_div (the
+linear recurrence) and of ps_compose (Horner with every step kept to the
+full bound).  The kernel must reproduce their results exactly: the same
+grid, lead, order and coefficients.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import darboux.series as series_module
+from darboux.scalars import QQ, ZERO, ONE, Omega, scalar_inv
+from darboux.series import (
+    PuiseuxSeries,
+    _kmul,
+    _lcm,
+    _pack,
+    _unpack,
+    _vec,
+    ps_compose,
+    ps_div,
+    ps_mul,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+def ref_mul(a, b):
+    """Product by direct convolution of the coefficient lists."""
+    g = _lcm(a.grid, b.grid)
+    a, b = a.to_grid(g), b.to_grid(g)
+    la = a.lead if a.coeffs else a.order
+    lb = b.lead if b.coeffs else b.order
+    order = min(a.order + lb, b.order + la)
+    if a.is_zero() or b.is_zero():
+        return PuiseuxSeries(g, order, (), order)
+    lead = a.lead + b.lead
+    n = order - lead
+    out = [ZERO] * n
+    bc = b.coeffs
+    for i, ca in enumerate(a.coeffs):
+        if not ca:
+            continue
+        if i >= n:
+            break
+        for j in range(min(len(bc), n - i)):
+            cb = bc[j]
+            if cb:
+                out[i + j] = out[i + j] + ca * cb
+    return PuiseuxSeries.make(g, lead, out, order)
+
+
+def ref_unit_inverse(coeffs, n):
+    """Inverse of a unit power series (c0 != 0) to n terms, by recurrence."""
+    c0inv = scalar_inv(coeffs[0])
+    out = [c0inv] + [ZERO] * (n - 1)
+    for k in range(1, n):
+        s = ZERO
+        for j in range(1, min(k, len(coeffs) - 1) + 1):
+            if coeffs[j] and out[k - j]:
+                s = s + coeffs[j] * out[k - j]
+        out[k] = -c0inv * s
+    return out
+
+
+def ref_div(a, b):
+    g = _lcm(a.grid, b.grid)
+    a, b = a.to_grid(g), b.to_grid(g)
+    rel = b.order - b.lead
+    inv = PuiseuxSeries.make(g, -b.lead, ref_unit_inverse(b.coeffs, rel), -b.lead + rel)
+    return ref_mul(a, inv)
+
+
+def ref_compose(a, b):
+    """a(b) by Horner, every step truncated at the full bound."""
+    vb = b.lead_exponent
+    nb = b.order_exponent
+    bound = QQ(a.order) * vb
+    support = [a.lead + i for i, c in enumerate(a.coeffs) if c and (a.lead + i)]
+    if support:
+        bound = min(bound, nb + (min(support) - 1) * vb)
+    acc = PuiseuxSeries.zero(bound, b.grid)
+    if a.is_zero():
+        return acc
+    if a.order > 0:
+        for k in range(a.order - 1, -1, -1):
+            acc = ref_mul(acc, b).truncate(bound)
+            idx = k - a.lead
+            c = a.coeffs[idx] if 0 <= idx < len(a.coeffs) else ZERO
+            if c:
+                acc = acc + PuiseuxSeries.const(c, bound, b.grid)
+    if a.lead < 0:
+        binv = ref_div(PuiseuxSeries.const(ONE, nb - vb, b.grid), b)
+        p = binv
+        for k in range(-1, a.lead - 1, -1):
+            c = a.coeffs[k - a.lead] if 0 <= k - a.lead < len(a.coeffs) else ZERO
+            if c:
+                acc = acc + p.scale(c)
+            if k > a.lead:
+                p = ref_mul(p, binv).truncate(bound)
+    return acc.truncate(bound)
+
+
+def assert_same(got, want):
+    assert (got.grid, got.lead, got.order) == (want.grid, want.lead, want.order)
+    assert list(got.coeffs) == list(want.coeffs)
+
+
+def assert_types(got, *inputs):
+    """Nonzero coefficients are Omega exactly when an input holds an Omega."""
+    omega = any(isinstance(c, Omega) for s in inputs for c in s.coeffs)
+    for c in got.coeffs:
+        if c:
+            assert isinstance(c, Omega) == omega
+        else:
+            assert c is ZERO
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=7).map(QQ)
+big = st.builds(lambda sign, n, d: QQ(sign * ((1 << 600) + n), d),
+                st.sampled_from((1, -1)), st.integers(min_value=0, max_value=1 << 100),
+                st.integers(min_value=1, max_value=1 << 70))
+rational = st.one_of(small, big, st.just(ZERO))
+omega = st.builds(Omega, small, small)
+scalar = {
+    "rational": rational,
+    "omega": st.one_of(omega, st.just(ZERO)),
+    "mixed": st.one_of(rational, omega),
+}
+
+
+@st.composite
+def series(draw, kind="rational", step=None, lead=None, grid=None, max_terms=12):
+    """A canonical series whose nonzero offsets are multiples of `step`
+    (grid-1 support spread onto grid 42 or 60 when step > 1)."""
+    step = draw(st.sampled_from((1, 42, 60))) if step is None else step
+    if grid is None:
+        grid = step if step > 1 else draw(st.sampled_from((1, 2)))
+    if lead is None:
+        lead = draw(st.integers(min_value=-2, max_value=3)) * step
+    terms = draw(st.integers(min_value=1, max_value=max_terms))
+    coeffs = [ZERO] * (terms * step)
+    for i in range(terms):
+        coeffs[i * step] = draw(scalar[kind])
+    coeffs[0] = draw(scalar[kind].filter(bool))
+    # cut the window anywhere inside the last stride
+    cut = draw(st.integers(min_value=0, max_value=step - 1))
+    coeffs = coeffs[:len(coeffs) - cut] or coeffs[:1]
+    return PuiseuxSeries.make(grid, lead, coeffs, lead + len(coeffs))
+
+
+def zero_series(step):
+    return st.builds(lambda o: PuiseuxSeries.zero(o), st.integers(min_value=-2, max_value=6)) \
+        if step == 1 else st.just(PuiseuxSeries(step, 5 * step, (), 5 * step))
+
+
+kinds = st.sampled_from(("rational", "omega", "mixed"))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), kinds, kinds, st.sampled_from((1, 42, 60, None)))
+def test_mul_matches_convolution(data, ka, kb, step):
+    a = data.draw(series(ka, step))
+    b = data.draw(series(kb, step))
+    got = ps_mul(a, b)
+    assert_same(got, ref_mul(a, b))
+    assert_types(got, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), kinds, st.sampled_from((1, 42, 60)))
+def test_mul_with_zero_series(data, kind, step):
+    a = data.draw(series(kind, step))
+    z = data.draw(zero_series(step))
+    assert_same(ps_mul(a, z), ref_mul(a, z))
+    assert_same(ps_mul(z, a), ref_mul(z, a))
+    assert_same(ps_mul(z, z), ref_mul(z, z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), kinds, kinds, st.sampled_from((1, 42, 60, None)))
+def test_div_matches_recurrence(data, ka, kb, step):
+    a = data.draw(series(ka, step))
+    b = data.draw(series(kb, step))
+    got = ps_div(a, b)
+    assert_same(got, ref_div(a, b))
+    assert_types(got, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), kinds, st.sampled_from((1, 42, 60)))
+def test_div_of_zero_series(data, kind, step):
+    b = data.draw(series(kind, step))
+    z = data.draw(zero_series(step))
+    assert_same(ps_div(z, b), ref_div(z, b))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data(), kinds, kinds, st.sampled_from((1, 42, 60)))
+def test_compose_matches_full_precision_horner(data, ka, kb, step):
+    a = data.draw(series(ka, 1, grid=1, max_terms=10))
+    lead = data.draw(st.integers(min_value=1, max_value=3)) * step
+    b = data.draw(series(kb, step, lead=lead, grid=step, max_terms=8))
+    got = ps_compose(a, b)
+    try:
+        want = ref_compose(a, b)
+    except ValueError:
+        # the loop raised when a's negative lead put the bound at or below
+        # 0 while a had a nonzero term at an exponent >= 0; those terms
+        # land beyond the bound, so the result is that of a's negative part
+        assert got.order <= 0
+        want = ref_compose(a.truncate(0), b)
+    assert_same(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from((1, 42)))
+def test_compose_of_zero_and_constant(data, step):
+    b = data.draw(series("mixed", step, lead=step, grid=step))
+    for a in (PuiseuxSeries.zero(data.draw(st.integers(min_value=1, max_value=6))),
+              PuiseuxSeries.const(data.draw(rational.filter(bool)), 4)):
+        assert_same(ps_compose(a, b), ref_compose(a, b))
+
+
+def test_compose_skips_steps_beyond_the_bound():
+    # a has 40 known terms, but b is known only below x^7, which bounds the
+    # result there: Horner starts at step 2, not at step 39
+    a = PuiseuxSeries.make(1, 0, [QQ(k + 1, k + 2) for k in range(40)], 40)
+    b = PuiseuxSeries.make(1, 3, [QQ(1), QQ(-2), QQ(1, 3), QQ(5)], 7)
+    assert_same(ps_compose(a, b), ref_compose(a, b))
+
+
+# ---------------------------------------------------------------------------
+# packing at the edges of a slot
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_pack_roundtrip_at_slot_limits(w, data):
+    half = 1 << (8 * w - 1)
+    edge = st.sampled_from((-half, -half + 1, -1, 0, 1, half - 2, half - 1))
+    v = data.draw(st.lists(st.one_of(edge, st.integers(-half, half - 1)), min_size=1, max_size=30))
+    assert _unpack(_pack(v, w), w, len(v)) == v
+    # slots above the first m do not disturb them
+    extra = data.draw(st.lists(edge, min_size=1, max_size=5))
+    assert _unpack(_pack(v + extra, w), w, len(v)) == v
+
+
+def _extreme_width(j, p0, spare):
+    """p such that n = 2**j - 1 terms of size 2**p - 1 need 2p + j + spare
+    bits per slot, a whole number of bytes or one bit more."""
+    return next(p for p in range(4 * p0 + 4, 4 * p0 + 8) if (2 * p + j + spare) % 8 in (0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=12),
+       st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+def test_full_slots_near_the_sign_bit(j, p0, sa, sb):
+    """All-extreme rational factors: the last product slot comes within a
+    factor 4 of the sign bit when the slot width has no spare bit, and one
+    bit less would overflow when the width is one bit over a byte."""
+    p = _extreme_width(j, p0, 1)
+    n, m = (1 << j) - 1, (1 << p) - 1
+    re, im, d = _kmul(_vec([QQ(sa * m)] * n), _vec([QQ(sb * m)] * n), n)
+    assert im is None and d == 1
+    assert re == [sa * sb * (i + 1) * m * m for i in range(n)]
+    if (2 * p + j + 1) % 8 == 0:
+        assert abs(re[-1]) > 1 << (2 * p + j - 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=12),
+       st.sampled_from((1, -1)))
+def test_omega_slots_near_the_sign_bit(j, p0, sign):
+    """(m - m w)(-m + m w) = 3 m^2 w: every pair puts 3 m^2 into the w part,
+    the most a pair of Q(w) values of this size can."""
+    p = _extreme_width(j, p0, 3)
+    n, m = (1 << j) - 1, (1 << p) - 1
+    x = _vec([Omega(sign * m, -sign * m)] * n)
+    y = _vec([Omega(-m, m)] * n)
+    re, im, d = _kmul(x, y, n)
+    assert d == 1 and re == [0] * n
+    assert im == [sign * 3 * (i + 1) * m * m for i in range(n)]
+
+
+def test_omega_products_near_slot_limit():
+    m = (1 << 200) - 1
+    a = PuiseuxSeries.make(1, 0, [Omega(m, -m), Omega(-m, m)] * 8, 16)
+    b = PuiseuxSeries.make(1, 0, [Omega(-m, -m), Omega(m, m), Fraction(m)] * 5, 15)
+    assert_same(ps_mul(a, b), ref_mul(a, b))
+    assert_same(ps_div(a, b), ref_div(a, b))
+
+
+def test_sublattice_keeps_packing_small():
+    """A grid-42 series packs one slot per nonzero term, not per grid index."""
+    base = PuiseuxSeries.make(1, 0, [QQ(k + 1, 3) for k in range(27)], 27).to_grid(42)
+    x = _vec(base.coeffs)
+    packed = []
+    real = series_module._pack
+    try:
+        series_module._pack = lambda v, w: packed.append(len(v)) or real(v, w)
+        _kmul(x, x, len(base.coeffs))
+    finally:
+        series_module._pack = real
+    assert packed == [27, 27]
