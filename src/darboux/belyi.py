@@ -186,9 +186,7 @@ def _w(a, b=0):
 
 def phi3_star() -> RationalMap:
     """(24w+8) x^3 G2^3 / ((1-x^3) F2^7) over Q(w)."""
-    f2 = UniPoly([_w(1), _w(0), _w(0), _w(rat(-16, 49), rat(39, 49))])
-    g2 = UniPoly([_w(1), _w(0), _w(0), _w(rat(-745, 392), rat(-435, 392)),
-                  _w(0), _w(0), _w(rat(14632, 16807), rat(18357, 16807))])
+    f2, g2 = phi3_star_parts()
     num = UniPoly([_w(0), _w(0), _w(0), _w(8, 24)]) * g2 ** 3
     den = UniPoly([_w(1), _w(0), _w(0), _w(-1)]) * f2 ** 7
     return RationalMap(num, den, reduce=False)

@@ -20,8 +20,11 @@ from .belyi import (
     branching_pattern,
     genus1_fiber_one_square,
     pattern,
+    phi2_map,
     phi3_star,
     phi3_star_parts,
+    phi3_tetrahedral,
+    phi4_octahedral,
     phi5_icosahedral,
     rh_genus,
     verify_cover_relation,
@@ -98,11 +101,9 @@ def _x_chart():
         "x_squared": lambda n: PuiseuxSeries.monomial(QQ(2), n),
         "Phi3": _map_entry(Phi3_map),
         "phi5": _map_entry(phi5_icosahedral),
-        "phi2": _map_entry(lambda: RationalMap(poly(0, 27) * poly(1, -1) ** 2, poly(1, 3) ** 3)),
-        "phi3t": _map_entry(lambda: RationalMap(poly(0, 1) * poly(4, 1) ** 3,
-                                                (poly(-1, 2) ** 3).scale(QQ(4)))),
-        "phi4o": _map_entry(lambda: RationalMap(poly(0, 108) * poly(-1, 1) ** 4,
-                                                poly(1, 14, 1) ** 3)),
+        "phi2": _map_entry(phi2_map),
+        "phi3t": _map_entry(phi3_tetrahedral),
+        "phi4o": _map_entry(phi4_octahedral),
         "arg_tetra3": _map_entry(lambda: RationalMap(poly(0, 1) * poly(2, 1) ** 3,
                                                      poly(1, 2) ** 3)),
         "arg_t32a": _map_entry(lambda: RationalMap(poly(0, -4), poly(-1, 1) ** 2)),
@@ -702,6 +703,22 @@ _add(ident("eta-pentagonal", "eta product equals the theta sum",
            "q",
            [T(_p("eta"))], [T(_p("eta_theta"))], order=60))
 
+# -- modular: product forms against their eta-quotient routes --------------------
+
+for id_, anchor, eta, prod in (
+        ("h2-prod", "the level-2 Hauptmodul as an explicit product", "h2", "h2_prod"),
+        ("h3-prod", "the level-3 Hauptmodul as an explicit product", "h3", "h3_prod"),
+        ("h4-prod", "the level-4 Hauptmodul as an explicit product", "h4", "h4_prod"),
+        ("h5-prod", "the level-5 Hauptmodul as an explicit product", "h5", "h5_prod"),
+        ("h7-prod", "the level-7 Hauptmodul as an explicit product", "h7", "h7_prod"),
+        ("h4-plus-16-prod", "the shifted level-4 Hauptmodul as an explicit product",
+         "h4_plus_16_eta", "h4_plus_16_prod"),
+        ("octa1-prod", "the first octahedral eta quotient as an explicit product",
+         "octa1_eta", "octa1_prod"),
+        ("octa2-prod", "the second octahedral eta quotient as an explicit product",
+         "octa2_eta", "octa2_prod")):
+    _add(ident(id_, anchor, "q", [T(_p(eta))], [T(_p(prod))], order=50))
+
 IDENTITY_BY_ID = {s.id: s for s in IDENTITIES}
 assert len(IDENTITY_BY_ID) == len(IDENTITIES), "duplicate identity ids"
 
@@ -886,29 +903,26 @@ SUITES = {
         "tetra-2", "tetra-3", "icosa-1", "icosa-2",
     ],
     "klein-invariants": ["klein-congruence", "klein-quotient"],
-    "modular-level5": ["h5-x5", "j-phi5-x5", "x5-h5-substitution",
+    "modular-level5": ["h5-x5", "h5-prod", "j-phi5-x5", "x5-h5-substitution",
                        "rr1-product", "rr2-product", "rr1-prodsum", "rr2-prodsum"],
     "modular-level7": [
         "j-coefficients", "x7-coefficients", "r4-xyz-zero", "x-xyz-1", "x-xyz-2",
-        "h7-x7", "F1-substitution", "j-h7", "j-phi3-x7", "h7-R6", "klein-quotient-q",
+        "h7-x7", "h7-prod", "F1-substitution", "j-h7", "j-phi3-x7", "h7-R6", "klein-quotient-q",
         "K1-product", "K2-product", "K3-product",
         "k1-sum", "k3-sum", "kratio-32", "kratio-21", "kratio-13", "theta-numerator",
         "quintuple-y1", "quintuple-y2", "quintuple-y3",
     ],
     "modular-low-levels": [
         "dihb-1", "dihb-2", "tetr-1", "tetr-2", "octa-1", "octa-2",
-        "j-h2", "h2-lambda", "sqrt-h2-64", "level2-eval-1", "level2-eval-2",
-        "j-h3", "level3-eval-1", "level3-eval-2",
-        "j-h4", "h4-plus-16-eta", "level4-eval-1", "level4-eval-2",
+        "j-h2", "h2-prod", "h2-lambda", "sqrt-h2-64", "level2-eval-1", "level2-eval-2",
+        "j-h3", "h3-prod", "level3-eval-1", "level3-eval-2",
+        "j-h4", "h4-prod", "h4-plus-16-eta", "h4-plus-16-prod",
+        "octa1-prod", "octa2-prod", "level4-eval-1", "level4-eval-2",
         "e4-classical-1", "e4-classical-2", "lambda-eta-product", "eta-pentagonal",
     ],
 }
 
 SUITES["all"] = sorted({cid for ids in SUITES.values() for cid in ids})
-
-
-def all_check_ids():
-    return sorted(set(IDENTITY_BY_ID) | set(CHECKS))
 
 
 def run_check(check_id: str, order: int) -> VerificationReport:
@@ -922,4 +936,6 @@ def run_check(check_id: str, order: int) -> VerificationReport:
 def check_anchor(check_id: str) -> str:
     if check_id in IDENTITY_BY_ID:
         return IDENTITY_BY_ID[check_id].anchor
-    return CHECKS[check_id].anchor
+    if check_id in CHECKS:
+        return CHECKS[check_id].anchor
+    raise KeyError(f"unknown check {check_id!r}")

@@ -1,7 +1,9 @@
 """Command-line front end: suite selection, order configuration, report
 emission and series inspection.
 
-Exit status is 0 exactly when every executed check passed.
+Exit status is 0 when every executed check passed, 1 when a check failed
+or raised (a raising check is reported with status ``error`` and the run
+goes on), and 2 for bad usage.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import __version__, catalog, modular
-from .report import PASS
+from .report import ERROR, PASS, VerificationReport
 from .scalars import QQ
 from .verifier import chart_series
 
@@ -24,37 +27,37 @@ def run_suite(suite: str, order: int) -> dict:
     """Execute every check of a suite and assemble the report document."""
     if suite not in catalog.SUITES:
         raise KeyError(f"unknown suite {suite!r}")
+    return _run_checks(suite, sorted(catalog.SUITES[suite]), order)
+
+
+def run_single(check_id: str, order: int) -> dict:
+    catalog.check_anchor(check_id)               # KeyError for an unknown id
+    return _run_checks(f"spec:{check_id}", [check_id], order)
+
+
+def _run_checks(label: str, ids, order: int) -> dict:
+    """Run the checks one by one; a check that raises is reported as an
+    error, its traceback goes to stderr, and the run goes on."""
     if order < 8:
         raise ValueError("order must be at least 8")
     t0 = time.monotonic()
     results = []
-    for cid in sorted(catalog.SUITES[suite]):
-        rep = catalog.run_check(cid, order)
+    for cid in ids:
+        try:
+            rep = catalog.run_check(cid, order)
+        except Exception as e:
+            traceback.print_exc(file=sys.stderr)
+            rep = VerificationReport(cid, catalog.check_anchor(cid), ERROR,
+                                     detail=f"{type(e).__name__}: {e}")
         results.append(rep)
-    duration_ms = int((time.monotonic() - t0) * 1000)
     ok = all(r.status == PASS for r in results)
     return {
         "version": __version__,
-        "suite": suite,
+        "suite": label,
         "order": order,
         "results": [r.as_dict() for r in results],
-        "duration_ms": duration_ms,
-        "status": "pass" if ok else "fail",
-    }
-
-
-def run_single(check_id: str, order: int) -> dict:
-    if order < 8:
-        raise ValueError("order must be at least 8")
-    t0 = time.monotonic()
-    rep = catalog.run_check(check_id, order)
-    return {
-        "version": __version__,
-        "suite": f"spec:{check_id}",
-        "order": order,
-        "results": [rep.as_dict()],
         "duration_ms": int((time.monotonic() - t0) * 1000),
-        "status": "pass" if rep.status == PASS else "fail",
+        "status": "pass" if ok else "fail",
     }
 
 

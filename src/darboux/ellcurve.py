@@ -14,12 +14,12 @@ never tie).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .polyalg import RationalMap, UniPoly, poly, rational_roots
 from .report import Mismatch, VerificationReport, failed, passed
 from .scalars import QQ, ONE, rat
 from .series import PuiseuxSeries, ps_div, ps_pow
+from .verifier import memo
 
 __all__ = [
     "Curve",
@@ -32,7 +32,6 @@ __all__ = [
     "local_expansion",
     "norm",
     "verify_divisor",
-    "isogeny_map",
     "isogeny_pullback",
     "isogeny_point_image",
     "involution_apply",
@@ -283,12 +282,6 @@ class CurveFunction:
 
         return (horner(self.a) + horner(self.b) * V) / horner(self.den)
 
-    def eval_point(self, pt: AffinePoint):
-        dv = self.den(QQ(pt.u))
-        if not dv:
-            raise ZeroDivisionError("pole at the point")
-        return (self.a(QQ(pt.u)) + self.b(QQ(pt.u)) * QQ(pt.v)) / dv
-
     def expand_at(self, pt: AffinePoint, n: int) -> PuiseuxSeries:
         """Local expansion; deepens automatically past high-order cancellation
         in the numerator or denominator (zero functions excluded)."""
@@ -324,19 +317,22 @@ def cf(curve: Curve, a_coeffs, b_coeffs=(), den_coeffs=(1,)) -> CurveFunction:
 # local expansions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
 def local_expansion(curve: Curve, pt, n: int):
     """(u(t), v(t)) at a rational point, exact below t-order n.
 
-    Memoized per (curve, point, depth): the divisor checks and the curve
-    charts expand at the same few points again and again, and the cost is
-    cubic in the depth.
+    Memoized per (curve, point, depth) in the series memo: the divisor
+    checks and the curve charts expand at the same few points again and
+    again, and the cost is cubic in the depth.
 
     At a 2-torsion point the parameter is t = v; at a generic affine point
     t = u - u0.  The place at infinity carries no rational Puiseux chart on
     this model (the leading coefficient 32 resp. -7 is not a sixth power),
     so only its valuations are used, never a series.
     """
+    return memo((curve, pt, n), lambda: _expand_at_point(curve, pt, n))
+
+
+def _expand_at_point(curve: Curve, pt, n: int):
     if pt is INFINITY:
         raise UnsupportedPointError(
             "no exact expansion at infinity; pole orders use the degree formula")
@@ -599,16 +595,6 @@ def norm(curve: Curve, f: CurveFunction) -> RationalMap:
     if f.is_zero():
         raise ValueError("norm of the zero function")
     return f.norm_map()
-
-
-def isogeny_map(obj):
-    """The 2-isogeny data: pull a function on the second curve back to the
-    first, or push a rational point of the first curve forward."""
-    if isinstance(obj, CurveFunction):
-        return isogeny_pullback(obj)
-    if isinstance(obj, AffinePoint):
-        return isogeny_point_image(obj)
-    raise TypeError("expected a curve function or an affine point")
 
 
 def isogeny_pullback(f_on_e4: CurveFunction) -> CurveFunction:

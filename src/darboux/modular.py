@@ -5,19 +5,20 @@ quotients, Eisenstein series and j, the Hauptmoduln of the small levels,
 the Klein-curve forms and their level-7 friends, Rogers-Ramanujan and
 Selberg-type sums, theta sums, and the quintuple-product specializations.
 
-Series are built on demand and memoized per (name, order) behind a lock;
-a published series is immutable.
+Series are built on demand and memoized per (name, exact order) in the
+verifier's series memo, under the chart name "q"; builders fetch the series
+they depend on through ``qseries`` too, so each (name, order) is built once.
 """
 
 from __future__ import annotations
 
-import threading
 from math import isqrt
 
 from .polyalg import MultiPoly, poly
 from .report import Mismatch, VerificationReport, failed, passed
 from .scalars import QQ, ZERO, ONE, rat
 from .series import PuiseuxSeries, first_mismatch, ps_div, ps_mul, ps_pow
+from .verifier import memo
 
 __all__ = [
     "qseries",
@@ -74,11 +75,6 @@ def _shift(s: PuiseuxSeries, exp) -> PuiseuxSeries:
     return ps_mul(s, mono)
 
 
-def euler_product(n: int) -> PuiseuxSeries:
-    """prod_{k>=1} (1 - q^k), the eta product without its q^{1/24}."""
-    return _product(n, ((k, -1, 1) for k in range(1, n)))
-
-
 def eta_quotient(pairs, n: int) -> PuiseuxSeries:
     """prod_m eta(m*tau)^{e_m} for pairs of (multiplier, exponent)."""
     lead = sum(QQ(m) * e for m, e in pairs) / 24
@@ -130,15 +126,15 @@ def _build_E6(n):
 
 def _build_j(n):
     pad = n + 4
-    e4 = _build_E4(pad)
-    e6 = _build_E6(pad)
+    e4 = qseries("E4", pad)
+    e6 = qseries("E6", pad)
     cube = ps_mul(ps_mul(e4, e4), e4)
     disc = cube - ps_mul(e6, e6)
     return ps_div(cube.scale(QQ(1728)), disc).truncate(n)
 
 
 def _build_inv_j_1728(n):
-    j = _build_j(n + 3)
+    j = qseries("j", n + 3)
     return ps_div(PuiseuxSeries.const(QQ(1728), n + 2), j).truncate(n)
 
 
@@ -168,8 +164,8 @@ def _build_Z(n):
 
 def _build_neg_x7(n):
     pad = n + 2
-    a = _build_X_neg(pad)
-    out = ps_div(ps_mul(ps_mul(a, a), _build_Y(pad)), ps_pow(_build_Z(pad), 3))
+    a = qseries("X_neg", pad)
+    out = ps_div(ps_mul(ps_mul(a, a), qseries("Y", pad)), ps_pow(qseries("Z", pad), 3))
     return out.truncate(n)
 
 
@@ -254,10 +250,8 @@ def _builders():
     b = {}
 
     b["q"] = lambda n: PuiseuxSeries.monomial(QQ(1), n)
-    b["zero"] = lambda n: PuiseuxSeries.zero(n)
-    b["eta"] = lambda n: _shift(euler_product(n), rat(1, 24))
+    b["eta"] = lambda n: eta_quotient([(1, 1)], n)
     b["eta_theta"] = lambda n: _eta_theta(n)
-    b["euler"] = euler_product
     b["eta7_prod"] = lambda n: _product(n, ((7 * k, -1, 1) for k in range(1, n // 7 + 2)))
     b["E4"] = _build_E4
     b["E6"] = _build_E6
@@ -276,21 +270,21 @@ def _builders():
     b["h5_prod"] = lambda n: _shift(_product(n + 1, _h_np(n, 5, 6)), -1)
     b["h7_prod"] = lambda n: _shift(_product(n + 1, _h_np(n, 7, 4)), -1)
 
-    b["h2_plus_64"] = lambda n: b["h2"](n) + PuiseuxSeries.const(QQ(64), n)
-    b["h3_plus_27"] = lambda n: b["h3"](n) + PuiseuxSeries.const(QQ(27), n)
-    b["h4_plus_16"] = lambda n: b["h4"](n) + PuiseuxSeries.const(QQ(16), n)
+    b["h2_plus_64"] = lambda n: qseries("h2", n) + PuiseuxSeries.const(QQ(64), n)
+    b["h3_plus_27"] = lambda n: qseries("h3", n) + PuiseuxSeries.const(QQ(27), n)
+    b["h4_plus_16"] = lambda n: qseries("h4", n) + PuiseuxSeries.const(QQ(16), n)
     b["h4_plus_16_eta"] = lambda n: eta_quotient([(2, 24), (4, -16), (1, -8)], n)
     b["h4_plus_16_prod"] = lambda n: _shift(
         _product(n + 1, ((k, 1, 8 if k % 2 else -8) for k in range(1, n + 1))), -1)
 
     # j as a rational expression in each Hauptmodul (numerators, see specs)
-    b["j_h2_num"] = lambda n: _poly_product_series(n, b["h2"], [(poly(256, 1), 3)])
+    b["j_h2_num"] = lambda n: _poly_product_series(n, "h2", [(poly(256, 1), 3)])
     b["j_h3_num"] = lambda n: _poly_product_series(
-        n, b["h3"], [(poly(27, 1), 1), (poly(243, 1), 3)])
+        n, "h3", [(poly(27, 1), 1), (poly(243, 1), 3)])
     b["j_h4_num"] = lambda n: _poly_product_series(
-        n, b["h4"], [(poly(4096, 256, 1), 3)])
+        n, "h4", [(poly(4096, 256, 1), 3)])
     b["j_h7_num"] = lambda n: _poly_product_series(
-        n, b["h7"], [(poly(49, 13, 1), 1), (poly(2401, 245, 1), 3)])
+        n, "h7", [(poly(49, 13, 1), 1), (poly(2401, 245, 1), 3)])
 
     # Legendre lambda / 16 and its product form
     b["lam16"] = lambda n: _build_lam16(n)
@@ -300,8 +294,7 @@ def _builders():
     b["x5"] = lambda n: _shift(residue_product(n + 1, 5, (1, 4), 5) *
                                residue_product(n + 1, 5, (2, 3), -5), 1).truncate(n + 1)
     b["phi5_of_x5_over_1728"] = lambda n: _build_phi5_of_x5(n)
-    b["x5h5"] = lambda n: ps_mul(b["x5"](n + 1), b["h5"](n + 1)).truncate(n)
-    b["one_minus_11x5_x5sq"] = lambda n: poly(1, -11, -1).eval_series(b["x5"](n)).truncate(n)
+    b["one_minus_11x5_x5sq"] = lambda n: poly(1, -11, -1).eval_series(qseries("x5", n)).truncate(n)
     b["rr1_prod"] = lambda n: _shift(residue_product(n + 1, 5, (1, 4), -1), rat(-1, 60))
     b["rr2_prod"] = lambda n: _shift(residue_product(n + 1, 5, (2, 3), -1), rat(11, 60))
     b["rr1_sum"] = lambda n: _rr_sum(n + 1, rat(-1, 60), lambda k: k * k)
@@ -312,11 +305,10 @@ def _builders():
     b["Y"] = _build_Y
     b["Z"] = _build_Z
     b["neg_x7"] = _build_neg_x7
-    b["x7"] = lambda n: _build_neg_x7(n).scale(-ONE)
-    b["one_minus_x7"] = lambda n: PuiseuxSeries.const(ONE, n) + _build_neg_x7(n)
-    b["F1_of_x7"] = lambda n: poly(1, -5, -8, -1).eval_series(_build_neg_x7(n)).truncate(n)
-    b["X2Y2Z2"] = lambda n: _pow_product(n, [( _build_X_neg, 2), (_build_Y, 2), (_build_Z, 2)])
-    b["R4_XYZ"] = lambda n: _klein_poly_series(n, klein_R4())
+    b["x7"] = lambda n: qseries("neg_x7", n).scale(-ONE)
+    b["one_minus_x7"] = lambda n: PuiseuxSeries.const(ONE, n) + qseries("neg_x7", n)
+    b["F1_of_x7"] = lambda n: poly(1, -5, -8, -1).eval_series(qseries("neg_x7", n)).truncate(n)
+    b["X2Y2Z2"] = lambda n: _pow_product(n, [("X_neg", 2), ("Y", 2), ("Z", 2)])
     b["R6_XYZ"] = lambda n: _klein_poly_series(n, klein_R6())
     b["K1"] = lambda n: _shift(residue_product(n + 1, 7, (1, 2, 5, 6), -1), rat(-1, 42))
     b["K2"] = lambda n: _shift(residue_product(n + 1, 7, (1, 3, 4, 6), -1), rat(5, 42))
@@ -351,9 +343,9 @@ def _h_np(n, m, e):
             yield (k, -1, -e)
 
 
-def _poly_product_series(n, base_builder, factors):
+def _poly_product_series(n, base, factors):
     deg = sum(p.degree * m for p, m in factors)
-    h = base_builder(n + deg + 2)
+    h = qseries(base, n + deg + 2)
     out = None
     for p, m in factors:
         s = p.eval_series(h)
@@ -363,10 +355,10 @@ def _poly_product_series(n, base_builder, factors):
     return out.truncate(n)
 
 
-def _pow_product(n, builder_pows):
+def _pow_product(n, name_pows):
     out = None
-    for builder, e in builder_pows:
-        s = builder(n + 2)
+    for name, e in name_pows:
+        s = qseries(name, n + 2)
         t = s
         for _ in range(e - 1):
             t = ps_mul(t, s)
@@ -447,8 +439,6 @@ def _klein_poly_series(n, mp: MultiPoly):
 
 
 _BUILDERS = _builders()
-_CACHE: dict = {}
-_LOCK = threading.Lock()
 
 
 def catalog_names():
@@ -459,14 +449,7 @@ def qseries(name: str, n: int) -> PuiseuxSeries:
     """Exact q-expansion of a catalog entry, known below exponent n."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown q-series {name!r}")
-    key = (name, n)
-    with _LOCK:
-        if key in _CACHE:
-            return _CACHE[key]
-    value = _BUILDERS[name](n)
-    with _LOCK:
-        _CACHE.setdefault(key, value)
-    return value
+    return memo(("q", name, n), lambda: _BUILDERS[name](n))
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +489,6 @@ def klein_R21() -> MultiPoly:
         term = grads[0][perm[0]] * grads[1][perm[1]] * grads[2][perm[2]]
         det = det + (term if sign > 0 else -term)
     return det.scale(rat(1, 14))
-
-
-def verify_modular_identity(identity_id: str, order: int = 50) -> VerificationReport:
-    """Run one shipped q-series identity by id (delegates to the catalog)."""
-    from .catalog import IDENTITY_BY_ID, run_check
-    spec = IDENTITY_BY_ID.get(identity_id)
-    if spec is None or spec.chart != "q":
-        raise KeyError(f"unknown modular identity {identity_id!r}")
-    return run_check(identity_id, order)
 
 
 def klein_invariant_congruence() -> VerificationReport:

@@ -551,11 +551,6 @@ class MultiPoly:
         return MultiPoly(remainder)
 
 
-def mpoly_reduce_mod(p: MultiPoly, q: MultiPoly, var_order=None) -> MultiPoly:
-    """Remainder of p modulo the single multivariate divisor q."""
-    return p.reduce_mod(q, var_order)
-
-
 def _negkey(k):
     return tuple(-x for x in k)
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 PASS = "pass"
 FAIL = "fail"
 INSUFFICIENT = "insufficient-order"
+ERROR = "error"                  # the check raised; detail names the exception
 
 
 @dataclass(frozen=True)

@@ -27,20 +27,6 @@ def rat(n, d=1):
     return QQ(n, d)
 
 
-def as_rational(x):
-    """Coerce an int/Fraction/mpq to the canonical rational type."""
-    if isinstance(x, Omega):
-        if x.b:
-            raise ValueError(f"{x!r} is not rational")
-        return x.a
-    return QQ(x)
-
-
-def is_integral(x) -> bool:
-    x = as_rational(x)
-    return x.denominator == 1
-
-
 class Omega:
     """Element a + b*w of Q(w), with w**2 = -1 - w."""
 

@@ -11,7 +11,6 @@ unknown coefficients.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from math import ceil
 
@@ -25,6 +24,7 @@ __all__ = [
     "Hpg",
     "Term",
     "IdentitySpec",
+    "memo",
     "register_chart",
     "chart_series",
     "expand_terms",
@@ -73,11 +73,23 @@ class IdentitySpec:
     min_order: int = 8
 
 
-# -- chart registry ---------------------------------------------------------
+# -- chart registry and the series memo ----------------------------------------
 
 _CHARTS: dict = {}
-_CHART_CACHE: dict = {}
-_LOCK = threading.Lock()
+_MEMO: dict = {}
+
+
+def memo(key, build):
+    """The one series memo: the value of ``build()``, computed once per key.
+
+    Keys end in the exact order a caller asked for.  Builders do not reach
+    exactly that order, so a deeper entry is never truncated to serve a
+    shallower key: that would change the precision a caller sees.  A memoized
+    series is shared and must not be mutated.
+    """
+    if key not in _MEMO:
+        _MEMO[key] = build()
+    return _MEMO[key]
 
 
 def register_chart(name: str, builders: dict):
@@ -88,22 +100,8 @@ def chart_series(chart: str, name: str, n) -> PuiseuxSeries:
     builders = _CHARTS[chart]
     if name not in builders:
         raise KeyError(f"no series {name!r} in chart {chart!r}")
-    key = (chart, name, QQ(n))
-    with _LOCK:
-        if key in _CHART_CACHE:
-            return _CHART_CACHE[key]
-    value = builders[name](QQ(n))
-    with _LOCK:
-        _CHART_CACHE.setdefault(key, value)
-    return value
-
-
-def chart_names(chart: str):
-    return sorted(_CHARTS[chart])
-
-
-def charts():
-    return sorted(_CHARTS)
+    n = QQ(n)
+    return memo((chart, name, n), lambda: builders[name](n))
 
 
 # -- expansion ---------------------------------------------------------------

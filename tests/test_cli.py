@@ -73,7 +73,7 @@ def test_dump_x7_initial_coefficients():
 
 
 def test_dump_zero_series_is_empty():
-    assert dump_series("zero", 10) == ""
+    assert dump_series("r4-xyz-zero.right", 10) == ""
 
 
 def test_dump_spec_side_and_chart_entry():
@@ -100,3 +100,30 @@ def test_failed_spec_nonzero_exit(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "first mismatch" in out
+
+
+def test_raising_checks_are_errors_and_the_run_goes_on(capsys, monkeypatch):
+    import darboux.catalog as cat
+
+    def raises(exc):
+        def run(order):
+            raise exc
+        return run
+
+    for cid, exc in (("bridge-1", ZeroDivisionError("division by zero")),
+                     ("div-e7-u", KeyError("missing"))):
+        monkeypatch.setitem(cat.CHECKS, cid, cat.Check(cid, cat.CHECKS[cid].anchor, raises(exc)))
+    code = main(["divisors", "--order", "12", "--format", "json"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    assert "ZeroDivisionError: division by zero" in captured.err   # the traceback
+    assert doc["status"] == "fail"
+    results = {r["id"]: r for r in doc["results"]}
+    assert sorted(results) == sorted(cat.SUITES["divisors"])
+    assert results["bridge-1"]["status"] == "error"
+    assert results["bridge-1"]["detail"] == "ZeroDivisionError: division by zero"
+    assert results["div-e7-u"]["status"] == "error"
+    assert results["div-e7-u"]["detail"] == "KeyError: 'missing'"
+    others = [r for cid, r in results.items() if cid not in ("bridge-1", "div-e7-u")]
+    assert others and all(r["status"] == "pass" for r in others)

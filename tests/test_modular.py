@@ -3,6 +3,7 @@ counting oracles, eta-product cross-checks, Klein invariant congruences."""
 
 import pytest
 
+from darboux.catalog import run_check
 from darboux.scalars import QQ, rat
 from darboux.series import PuiseuxSeries, first_mismatch, ps_mul
 from darboux.modular import (
@@ -62,20 +63,17 @@ def test_eta_product_equals_theta_sum():
 
 
 # ---------------------------------------------------------------------------
-# Hauptmodul product forms vs eta quotients
+# Hauptmodul product forms vs eta quotients (catalog checks)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["h2", "h3", "h4", "h5", "h7"])
 def test_hauptmodul_products(name):
-    n = 30
-    assert first_mismatch(qseries(name, n), qseries(name + "_prod", n)) is None
+    assert run_check(name + "-prod", 30).ok
 
 
 def test_h4_plus_16_routes():
-    n = 30
-    direct = qseries("h4_plus_16", n)
-    assert first_mismatch(direct, qseries("h4_plus_16_eta", n)) is None
-    assert first_mismatch(direct, qseries("h4_plus_16_prod", n)) is None
+    assert run_check("h4-plus-16-eta", 30).ok
+    assert run_check("h4-plus-16-prod", 30).ok
 
 
 def test_lambda_product_form():
@@ -87,9 +85,8 @@ def test_lambda_product_form():
 
 
 def test_octahedral_quotient_products():
-    n = 30
-    assert first_mismatch(qseries("octa1_eta", n), qseries("octa1_prod", n)) is None
-    assert first_mismatch(qseries("octa2_eta", n), qseries("octa2_prod", n)) is None
+    assert run_check("octa1-prod", 30).ok
+    assert run_check("octa2-prod", 30).ok
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +126,7 @@ def test_x7_leading_coefficients():
 
 
 def test_klein_forms_satisfy_r4():
-    r4 = qseries("R4_XYZ", 30)
-    assert r4.is_zero()
+    assert run_check("r4-xyz-zero", 30).ok
 
 
 def test_k_products_vs_partition_oracle():
