@@ -27,6 +27,7 @@ from .belyi import (
     phi4_octahedral,
     phi5_icosahedral,
     rh_genus,
+    rh_genus_cover,
     verify_cover_relation,
     RELATION_IDS,
 )
@@ -70,14 +71,8 @@ def _poly_entry(*coeffs):
     return lambda n: p.eval_series(_mono(n))
 
 
-def _map_entry(make_map, scale_den=1):
-    def build(n):
-        r = make_map()
-        s = r.eval_series(_mono(n + 4))
-        if scale_den != 1:
-            s = s.scale(QQ(1, scale_den))
-        return s.truncate(n)
-    return build
+def _map_entry(make_map):
+    return lambda n: make_map().eval_series(_mono(n + 4)).truncate(n)
 
 
 def _x_chart():
@@ -205,18 +200,8 @@ def _t4_chart():
 
 
 def _q_chart():
-    names = modular.catalog_names()
-    b = {name: (lambda n, name=name: modular.qseries(name, int(n) if QQ(n).denominator == 1 else int(n) + 1))
-         for name in names}
-
-    def phi3_of_x7(n):
-        m = modular.qseries("neg_x7", int(n) + 6)
-        x7 = m.scale(QQ(-1))
-        r = Phi3_map()
-        return r.eval_series(x7).scale(q(1, 1728)).truncate(n)
-
-    b["Phi3_of_x7_over_1728"] = phi3_of_x7
-    return b
+    return {name: (lambda n, name=name: modular.qseries(name, int(n) if QQ(n).denominator == 1 else int(n) + 1))
+            for name in modular.catalog_names()}
 
 
 register_chart("x", _x_chart())
@@ -702,6 +687,11 @@ _add(ident("lambda-eta-product", "modular lambda as an explicit half-integer pro
 _add(ident("eta-pentagonal", "eta product equals the theta sum",
            "q",
            [T(_p("eta"))], [T(_p("eta_theta"))], order=60))
+_add(ident("disc-eta24", "the discriminant (E4^3 - E6^2)/1728 as the 24th power of eta",
+           "q",
+           [T(_p("E4", 3)), T(_p("E6", 2), w=-1)],
+           [T(_p("eta", 24), w=1728)],
+           order=50))
 
 # -- modular: product forms against their eta-quotient routes --------------------
 
@@ -770,6 +760,16 @@ def _genus1_pattern_check(which):
     return run
 
 
+def _remark_coverings_check(order):
+    anchor = "Riemann-Hurwitz genus of the remark coverings"
+    for rec in modular.REMARK_COVERINGS:
+        g = rh_genus_cover(rec["degree"], rec["base_genus"], rec["branch_orders"])
+        if g != rec["genus"]:
+            return failed("remark-coverings", anchor,
+                          detail=f"{rec['curve']}: genus {g}, stated {rec['genus']}")
+    return passed("remark-coverings", anchor)
+
+
 def _divisor_checks():
     out = []
     for name, f, divisor in TABLE1:
@@ -824,7 +824,7 @@ def _klein_checks():
         Check("klein-congruence", "Klein invariant congruence",
               lambda order: modular.klein_invariant_congruence()),
         Check("klein-quotient", "degree-7 cyclic quotient of the Klein quartic",
-              lambda order: modular.verify_quotient_curve(min(int(order), 40))),
+              lambda order: modular.verify_quotient_curve()),
     ]
 
 
@@ -864,6 +864,8 @@ def _register_checks():
     for rid in RELATION_IDS:
         items.append(Check(rid, "covering relation " + rid,
                            (lambda order, rid=rid: verify_cover_relation(rid))))
+    items.append(Check("remark-coverings", "Riemann-Hurwitz genus of the remark coverings",
+                       _remark_coverings_check))
     items.extend(_divisor_checks())
     items.extend(_bridge_checks())
     items.append(Check("torsion-e4", "rational torsion audit", _torsion_check))
@@ -896,13 +898,13 @@ SUITES = {
     "genus1-e4": [s.id for s in IDENTITIES if s.chart == "t4"] + ["torsion-e4"],
     "divisors": [c.id for c in _divisor_checks()] + [f"bridge-{k}" for k in range(1, 7)],
     "belyi": [f"pattern-{n}" for n in sorted(P1_MAPS)] + ["pattern-Phi7", "pattern-Phi4"]
-             + list(RELATION_IDS),
+             + list(RELATION_IDS) + ["remark-coverings"],
     "transformations": [
         "t32a-quadratic", "t32b-cubic", "t32c-cubic",
         "dihedral-1", "dihedral-2", "dihedral-3", "dihedral-4",
         "tetra-2", "tetra-3", "icosa-1", "icosa-2",
     ],
-    "klein-invariants": ["klein-congruence", "klein-quotient"],
+    "klein-invariants": ["klein-congruence", "klein-quotient", "klein-quotient-q"],
     "modular-level5": ["h5-x5", "h5-prod", "j-phi5-x5", "x5-h5-substitution",
                        "rr1-product", "rr2-product", "rr1-prodsum", "rr2-prodsum"],
     "modular-level7": [
@@ -919,6 +921,7 @@ SUITES = {
         "j-h4", "h4-prod", "h4-plus-16-eta", "h4-plus-16-prod",
         "octa1-prod", "octa2-prod", "level4-eval-1", "level4-eval-2",
         "e4-classical-1", "e4-classical-2", "lambda-eta-product", "eta-pentagonal",
+        "disc-eta24",
     ],
 }
 

@@ -66,10 +66,6 @@ def p3(a1, a2, a3, b1, b2) -> HpgParams:
     return HpgParams((QQ(a1), QQ(a2), QQ(a3)), (QQ(b1), QQ(b2)))
 
 
-def p2(a1, a2, b1) -> HpgParams:
-    return HpgParams((QQ(a1), QQ(a2)), (QQ(b1),))
-
-
 def hpg_series(p: HpgParams, n: int) -> PuiseuxSeries:
     """Taylor coefficients from the term ratio, exactly, to order n."""
     coeffs = [ONE]

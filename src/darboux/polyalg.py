@@ -505,32 +505,26 @@ class MultiPoly:
             return PuiseuxSeries.zero(min(v.order_exponent for v in values))
         return acc
 
-    def reduce_mod(self, q: "MultiPoly", var_order=None) -> "MultiPoly":
+    def reduce_mod(self, q: "MultiPoly") -> "MultiPoly":
         """Remainder of long division by the single divisor q.
 
-        Monomials are ordered lexicographically in var_order; the leading
-        monomial of q is cancelled wherever it divides a monomial of the
-        dividend.  For a single divisor the remainder is 0 exactly when q
-        divides the dividend.
+        Monomials are ordered lexicographically; the leading monomial of q
+        is cancelled wherever it divides a monomial of the dividend.  For a
+        single divisor the remainder is 0 exactly when q divides the
+        dividend.
         """
         if q.is_zero():
             raise ZeroDivisionError("reduction modulo the zero polynomial")
-        nv = q.nvars
-        perm = tuple(var_order) if var_order is not None else tuple(range(nv))
-
-        def key(m):
-            return tuple(m[i] for i in perm)
-
-        lt = max(q.terms, key=key)
+        lt = max(q.terms)
         ltc = q.terms[lt]
         rest = [(m, c) for m, c in q.terms.items() if m != lt]
         work = dict(self.terms)
-        heap = [_negkey(key(m)) for m in work]
+        heap = [_negkey(m) for m in work]
         heapq.heapify(heap)
         remainder = {}
         while heap:
             nk = heapq.heappop(heap)
-            m = _unnegkey(nk, perm)
+            m = _negkey(nk)
             if m not in work:
                 continue
             c = work.pop(m)
@@ -542,7 +536,7 @@ class MultiPoly:
                     s = work.get(mm, ZERO) - f * c2
                     if s:
                         if mm not in work:
-                            heapq.heappush(heap, _negkey(key(mm)))
+                            heapq.heappush(heap, _negkey(mm))
                         work[mm] = s
                     else:
                         work.pop(mm, None)
@@ -554,10 +548,3 @@ class MultiPoly:
 def _negkey(k):
     return tuple(-x for x in k)
 
-
-def _unnegkey(nk, perm):
-    k = tuple(-x for x in nk)
-    m = [0] * len(k)
-    for pos, i in enumerate(perm):
-        m[i] = k[pos]
-    return tuple(m)

@@ -94,7 +94,7 @@ def test_criterion_06_transformations():
 
 def test_criterion_07_klein_invariants():
     t0 = time.monotonic()
-    _run_all(["klein-congruence", "klein-quotient"], 40)
+    _run_all(["klein-congruence", "klein-quotient", "klein-quotient-q"], 40)
     dt = time.monotonic() - t0
     assert dt < 30.0, f"{dt:.2f}s"
     _announce(7, f"invariant congruence and cyclic quotient, {dt:.2f}s")

@@ -3,12 +3,12 @@ counting oracles, eta-product cross-checks, Klein invariant congruences."""
 
 import pytest
 
+from darboux import modular
 from darboux.catalog import run_check
 from darboux.scalars import QQ, rat
 from darboux.series import PuiseuxSeries, first_mismatch, ps_mul
 from darboux.modular import (
     REMARK_COVERINGS,
-    eta_quotient,
     klein_R4,
     klein_R6,
     klein_R14,
@@ -50,11 +50,7 @@ def test_inverse_j_series():
 
 def test_discriminant_is_eta_to_24():
     # (E4^3 - E6^2)/1728 == eta(tau)^24: two fully independent routes
-    n = 30
-    e4, e6 = qseries("E4", n), qseries("E6", n)
-    cube = ps_mul(ps_mul(e4, e4), e4)
-    disc = (cube - ps_mul(e6, e6)).scale(rat(1, 1728))
-    assert first_mismatch(disc, eta_quotient([(1, 24)], n)) is None
+    assert run_check("disc-eta24", 30).ok
 
 
 def test_eta_product_equals_theta_sum():
@@ -178,11 +174,13 @@ def test_klein_congruence():
 
 
 def test_quotient_curve():
-    assert verify_quotient_curve(30).ok
+    assert verify_quotient_curve().ok
+    assert run_check("klein-quotient-q", 30).ok
 
 
-def test_remark_covering_genus_audit():
-    for rec in REMARK_COVERINGS:
-        ram = sum(e - 1 for e in rec["branch_orders"])
-        g = 1 + (rec["degree"] * (2 * rec["base_genus"] - 2) + ram) // 2
-        assert g == rec["genus"]
+def test_remark_covering_genus_audit(monkeypatch):
+    assert run_check("remark-coverings", 8).ok
+    wrong = dict(REMARK_COVERINGS[1], genus=72)
+    monkeypatch.setattr(modular, "REMARK_COVERINGS", (REMARK_COVERINGS[0], wrong))
+    rep = run_check("remark-coverings", 8)
+    assert rep.status == "fail" and "genus 73, stated 72" in rep.detail
