@@ -260,15 +260,8 @@ def _relation_phi3_phi7() -> VerificationReport:
     x = e7_to_e4_x()
     p7 = phi7()
     phi3 = Phi3_map()
-
-    def horner(p: UniPoly) -> CurveFunction:
-        out = CurveFunction(E7, UniPoly())
-        for c in reversed(p.coeffs):
-            out = out * x + CurveFunction(E7, UniPoly([c]))
-        return out
-
-    lhs_num = horner(phi3.num)
-    lhs_den = horner(phi3.den)
+    lhs_num = phi3.num(x)
+    lhs_den = phi3.den(x)
     rhs_num = 27 * p7 * p7
     rhs_den = (4 - p7) ** 3
     if lhs_num * rhs_den == rhs_num * lhs_den:

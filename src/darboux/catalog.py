@@ -121,12 +121,12 @@ def _s_chart():
     neg = UniPoly([QQ(0), QQ(-1)])
 
     def at_neg(p: UniPoly):
-        comp = p.compose(neg)
+        comp = p(neg)
         return lambda n: comp.eval_series(_mono(n))
 
     def phi3_neg(n):
         r = Phi3_map()
-        return RationalMap(r.num.compose(neg), r.den.compose(neg)).eval_series(_mono(n + 4)).truncate(n)
+        return RationalMap(r.num(neg), r.den(neg)).eval_series(_mono(n + 4)).truncate(n)
 
     return {
         "s": _mono,

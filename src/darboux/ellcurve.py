@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .polyalg import RationalMap, UniPoly, poly, rational_roots
 from .report import Mismatch, VerificationReport, failed, passed
-from .scalars import QQ, ONE, rat
+from .scalars import QQ, ONE, power, rat
 from .series import PuiseuxSeries, ps_div, ps_pow
 from .verifier import memo
 
@@ -30,7 +30,6 @@ __all__ = [
     "E7",
     "E4",
     "local_expansion",
-    "norm",
     "verify_divisor",
     "isogeny_pullback",
     "isogeny_point_image",
@@ -253,14 +252,7 @@ class CurveFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = CurveFunction(self.curve, UniPoly([ONE]))
-        base, n = self, int(n)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, int(n), CurveFunction(self.curve, UniPoly([ONE])))
 
     def __eq__(self, other):
         other = self._lift(other)
@@ -271,16 +263,8 @@ class CurveFunction:
         raise TypeError("unhashable (denominators are lazy)")
 
     def subst(self, U: "CurveFunction", V: "CurveFunction") -> "CurveFunction":
-        """f(U, V): Horner in the target function field."""
-        target = U.curve
-
-        def horner(p: UniPoly) -> CurveFunction:
-            out = CurveFunction(target, UniPoly())
-            for c in reversed(p.coeffs):
-                out = out * U + CurveFunction(target, UniPoly([c]))
-            return out
-
-        return (horner(self.a) + horner(self.b) * V) / horner(self.den)
+        """f(U, V): each polynomial part evaluated at U in the target function field."""
+        return (self.a(U) + self.b(U) * V) / self.den(U)
 
     def expand_at(self, pt: AffinePoint, n: int) -> PuiseuxSeries:
         """Local expansion; deepens automatically past high-order cancellation
@@ -353,7 +337,7 @@ def _expand_at_point(curve: Curve, pt, n: int):
     t = PuiseuxSeries.monomial(QQ(1), n)
     useries = t + PuiseuxSeries.const(u0, n)
     g = curve.rhs
-    gu = g.compose(UniPoly([u0, ONE]))           # g(u0 + t)
+    gu = g(UniPoly([u0, ONE]))                   # g(u0 + t)
     unit = gu.eval_series(t).scale(1 / (v0 * v0))
     vseries = ps_pow(unit, rat(1, 2)).scale(v0)
     return useries, vseries
@@ -588,15 +572,6 @@ def e7_to_e4_x() -> CurveFunction:
     return num / den
 
 
-def norm(curve: Curve, f: CurveFunction) -> RationalMap:
-    """Function-field norm a^2 - b^2 u c(u) (over den^2)."""
-    if f.curve.name != curve.name:
-        raise ValueError("function does not live on the given curve")
-    if f.is_zero():
-        raise ValueError("norm of the zero function")
-    return f.norm_map()
-
-
 def isogeny_pullback(f_on_e4: CurveFunction) -> CurveFunction:
     """Pull a function on E4 back to E7 through p = u/(1-11u+32u^2),
     w = v (1-32u^2)/(1-11u+32u^2)^2."""
@@ -689,7 +664,7 @@ def torsion_audit(curve: Curve = E4) -> dict:
     # tangent lines w = alpha*p: substituting gives p*(7p^2+(alpha^2-22)p-1)=0,
     # tangency at a nonzero point means the quadratic has a double root:
     # (alpha^2-22)^2 + 28 = 0
-    quartic = (poly(-22, 1) ** 2 + poly(28)).compose(poly(0, 0, 1))
+    quartic = (poly(-22, 1) ** 2 + poly(28))(poly(0, 0, 1))
     four_torsion_roots = rational_roots(quartic)
     ok = (order6 == 6 and doubles_to_o and not two_torsion_roots
           and not four_torsion_roots and quartic == poly(512, 0, -44, 0, 1))

@@ -10,8 +10,10 @@ evaluation, and reduction modulo a single multivariate divisor.
 from __future__ import annotations
 
 import heapq
+from math import lcm
 
-from .scalars import QQ, ZERO, ONE, scalar_inv
+from .kernel import _kmul, _scalars, _vec
+from .scalars import QQ, ZERO, ONE, power, scalar_inv
 from .series import PuiseuxSeries, ps_div, ps_mul
 
 __all__ = [
@@ -85,16 +87,10 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
                 return UniPoly()
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return UniPoly(out)
+            return UniPoly(_scalars(_kmul(_vec(a), _vec(b), len(a) + len(b) - 1)))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -106,15 +102,10 @@ class UniPoly:
         return UniPoly([c * x for x in self.coeffs])
 
     def __pow__(self, n: int):
-        out, base, n = UniPoly([ONE]), self, int(n)
+        n = int(n)
         if n < 0:
             raise ValueError("negative polynomial power")
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, UniPoly([ONE]))
 
     def shift_mul_x(self, k: int) -> "UniPoly":
         if not self.coeffs:
@@ -182,12 +173,6 @@ class UniPoly:
             out = ps_mul(out, s)
             if c:
                 out = out + PuiseuxSeries.const(c, out.order_exponent, out.grid)
-        return out
-
-    def compose(self, other: "UniPoly") -> "UniPoly":
-        out = UniPoly()
-        for c in reversed(self.coeffs):
-            out = out * other + UniPoly([c])
         return out
 
 
@@ -273,9 +258,7 @@ def rational_roots(p: UniPoly):
     """All rational roots of a rational-coefficient polynomial."""
     if p.is_zero():
         raise ValueError("every rational is a root of 0")
-    den = 1
-    for c in p.coeffs:
-        den = den * QQ(c).denominator // _gcd_int(den, QQ(c).denominator)
+    den = lcm(*(QQ(c).denominator for c in p.coeffs))
     ic = [int(QQ(c) * den) for c in p.coeffs]
     k = 0
     while ic[k] == 0:
@@ -288,12 +271,6 @@ def rational_roots(p: UniPoly):
                 if cand not in roots and not p(cand):
                     roots.append(cand)
     return sorted(roots)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):
@@ -462,14 +439,8 @@ class MultiPoly:
 
     def __pow__(self, n: int):
         nv = self.nvars
-        out = MultiPoly({(0,) * nv: ONE}) if nv is not None else MultiPoly({(): ONE})
-        base, n = self, int(n)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        one = MultiPoly({(0,) * nv: ONE}) if nv is not None else MultiPoly({(): ONE})
+        return power(self, int(n), one)
 
     @property
     def nvars(self):

@@ -112,13 +112,7 @@ class Omega:
     def __pow__(self, n):
         if not isinstance(n, numbers.Integral) or n < 0:
             return NotImplemented
-        out, base, n = Omega(1), self, int(n)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, int(n), Omega(1))
 
     # -- comparisons ----------------------------------------------------
     def __eq__(self, other):
@@ -146,11 +140,16 @@ class Omega:
 W = Omega(0, 1)
 
 
-def conj(x):
-    """Galois conjugation on scalars: w -> w^2, identity on rationals."""
-    if isinstance(x, Omega):
-        return x.conjugate()
-    return x
+def power(base, n: int, one):
+    """base**n for an integer n >= 0 by square-and-multiply, starting from one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def scalar_inv(x):

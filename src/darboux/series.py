@@ -11,15 +11,16 @@ Canonical form: coeffs[0] != 0, except for the zero series which carries
 an empty tuple and lead == order.
 
 Every product of coefficient lists (``ps_mul``, the Newton inverse behind
-``ps_div`` and the Horner loop of ``ps_compose``) runs on one exact integer
-kernel; see "the product kernel" below.
+``ps_div`` and the Horner loop of ``ps_compose``) runs on the exact integer
+kernel in ``darboux.kernel``.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
-from .scalars import QQ, ZERO, ONE, Omega, scalar_inv
+from .kernel import _kmul, _reduced, _scalars, _unit_inverse, _vec
+from .scalars import QQ, ZERO, ONE, scalar_inv
 
 __all__ = [
     "PuiseuxSeries",
@@ -39,10 +40,6 @@ class PowBaseError(ValueError):
 
 class ValuationError(ValueError):
     """Composition argument without strictly positive valuation."""
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def _ceil_div(n, d):
@@ -104,7 +101,7 @@ class PuiseuxSeries:
         pairs = [(QQ(e), c) for e, c in pairs]
         grid = 1
         for e, _ in pairs:
-            grid = _lcm(grid, int(e.denominator))
+            grid = lcm(grid, int(e.denominator))
         n = _exp_to_grid_floorplus(order_exp, grid)
         if not pairs:
             return PuiseuxSeries(grid, n, (), n)
@@ -185,7 +182,7 @@ class PuiseuxSeries:
     def __add__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        g = _lcm(self.grid, other.grid)
+        g = lcm(self.grid, other.grid)
         a, b = self.to_grid(g), other.to_grid(g)
         order = min(a.order, b.order)
         if a.is_zero() and b.is_zero():
@@ -247,148 +244,11 @@ def _exp_to_grid_floorplus(exp, grid: int) -> int:
     return _ceil_div(int(e.numerator) * grid, int(e.denominator))
 
 
-# -- the product kernel ------------------------------------------------------
-#
-# A coefficient list is multiplied as an integer vector (re, im, d):
-# coefficient i is (re[i] + im[i]*w) / d over one common denominator d, and
-# im is None when every coefficient is rational.  Both factors are first
-# compressed onto their support sublattice (the gcd s of the nonzero
-# offsets), so that a sparse series on grid 42 or 60 packs densely.  Each
-# integer list is then packed into one signed big integer with a slot of w
-# bytes per coefficient (Kronecker substitution): the packed product is the
-# product of the packed factors, one big multiplication, and its first slots
-# are read back.  Q(w) products take three multiplications (w*w = -1 - w).
-# Results with an Omega factor come back as Omega, others as rationals.
-
-
-def _vec(coeffs):
-    """Integer vector (re, im, d) of a list of exact scalars."""
-    if not any(isinstance(c, Omega) for c in coeffs):
-        d = lcm(*{int(c.denominator) for c in coeffs})
-        return [int(c.numerator) * (d // int(c.denominator)) for c in coeffs], None, d
-    parts = [(c.a, c.b) if isinstance(c, Omega) else (c, ZERO) for c in coeffs]
-    d = lcm(*{int(x.denominator) for p in parts for x in p})
-    return ([int(x.numerator) * (d // int(x.denominator)) for x, _ in parts],
-            [int(y.numerator) * (d // int(y.denominator)) for _, y in parts], d)
-
-
-def _scalars(v):
-    """Coefficient list of an integer vector; zero slots are ZERO."""
-    re, im, d = v
-    if im is None:
-        return [QQ(x, d) if x else ZERO for x in re]
-    return [Omega(QQ(x, d), QQ(y, d)) if x or y else ZERO for x, y in zip(re, im)]
-
-
-def _pack(v, w):
-    """sum(v[i] * 2**(8*w*i)) for signed slot values v[i] of w bytes."""
-    raw = b"".join(c.to_bytes(w, "little", signed=True) for c in v)
-    # each negative slot borrowed 2**(8*w) from the slot above it
-    one, none = b"\x01" + bytes(w - 1), bytes(w)
-    borrow = bytes(w) + b"".join(one if c < 0 else none for c in v)
-    return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
-
-
-def _unpack(c, w, m):
-    """The first m slot values of a packed integer; each must lie in
-    [-2**(8*w-1), 2**(8*w-1))."""
-    raw = (c & ((1 << (8 * w * m)) - 1)).to_bytes(w * m, "little")
-    half, full = 1 << (8 * w - 1), 1 << (8 * w)
-    out, carry = [], 0
-    for i in range(0, w * m, w):
-        v = int.from_bytes(raw[i:i + w], "little") + carry
-        carry = v >= half
-        out.append(v - full if carry else v)
-    return out
-
-
-def _kmul(x, y, n):
-    """First n coefficients of the product of two integer vectors."""
-    (xr, xi, dx), (yr, yi, dy) = x, y
-    parts = [None if v is None else v[:n] for v in (xr, xi, yr, yi)]
-    s = gcd(*[i for v in parts if v is not None for i, c in enumerate(v) if c]) or 1
-    if s > 1:
-        parts = [None if v is None else v[::s] for v in parts]
-    xr, xi, yr, yi = parts
-    m = -(-n // s)
-    # a product slot sums at most `count` pairs, each contributing below
-    # 2**(bx + by) in absolute value, or below 3 * 2**(bx + by) when both
-    # sides are in Q(w) (im takes ar*bi + ai*br - ai*bi); one bit for the sign
-    bx = max(map(int.bit_length, xr + (xi or [])))
-    by = max(map(int.bit_length, yr + (yi or [])))
-    count = min(len(xr), len(yr), m)
-    bits = bx + by + count.bit_length() + 1
-    if xi is not None and yi is not None:
-        bits += 2
-    w = -(-bits // 8)
-    a, b = _pack(xr, w), _pack(yr, w)
-    p = a * b
-    re = _unpack(p, w, m)
-    im = None
-    if xi is not None and yi is not None:
-        ai, bi = _pack(xi, w), _pack(yi, w)
-        q = ai * bi
-        re = _unpack(p - q, w, m)
-        im = _unpack((a + ai) * (b + bi) - p - 2 * q, w, m)
-    elif xi is not None:
-        im = _unpack(_pack(xi, w) * b, w, m)
-    elif yi is not None:
-        im = _unpack(a * _pack(yi, w), w, m)
-    if s > 1:
-        re = _spread(re, s, n)
-        im = None if im is None else _spread(im, s, n)
-    return re, im, dx * dy
-
-
-def _spread(v, s, n):
-    out = [0] * n
-    out[::s] = v
-    return out
-
-
-def _reduced(re, im, d):
-    """The vector with the common content of its numerators and d removed."""
-    g = gcd(d, *re, *(im or ()))
-    if g == 1:
-        return re, im, d
-    return ([c // g for c in re], None if im is None else [c // g for c in im], d // g)
-
-
-def _unit_inverse(x, n):
-    """First n coefficients of 1/x for an integer vector x with x[0] != 0.
-
-    Newton iteration y <- y - y*(x*y - 1) doubles the known terms per step:
-    when x*y = 1 + O(z^m), the product is 1 + O(z^2m) once y absorbs the
-    correction, and only the part of x*y - 1 from z^m on is multiplied.
-    """
-    xr, xi, dx = x
-    r0 = xr[0]
-    if xi is None:
-        y = ([dx], None, r0) if r0 > 0 else ([-dx], None, -r0)
-    else:
-        # 1/(r + i*w) = (r - i - i*w) / (r*r - r*i + i*i), a positive norm
-        i0 = xi[0]
-        y = ([dx * (r0 - i0)], [-dx * i0], r0 * r0 - r0 * i0 + i0 * i0)
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
-        er, ei, de = _kmul(x, y, m2)
-        high = (er[m:], None if ei is None else ei[m:], de)
-        tr, ti, _ = _kmul(y, high, m2 - m)
-        # y, x*y and the correction all have a w part exactly when x has one
-        yr, yi, dy = y
-        re = [c * de for c in yr] + [-c for c in tr]
-        im = None if yi is None else [c * de for c in yi] + [-c for c in ti]
-        y = _reduced(re, im, dy * de)
-        m = m2
-    return y
-
-
 # -- series operations -------------------------------------------------------
 
 def ps_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     """Exact product; order = min(Na + lead_b, Nb + lead_a)."""
-    g = _lcm(a.grid, b.grid)
+    g = lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
     la = a.lead if a.coeffs else a.order
     lb = b.lead if b.coeffs else b.order
@@ -408,7 +268,7 @@ def ps_div(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero series")
-    g = _lcm(a.grid, b.grid)
+    g = lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
     rel = b.order - b.lead
     la = a.lead if a.coeffs else a.order
@@ -437,7 +297,7 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
     if r == 1:
         return a
     new_lead = a.lead_exponent * r
-    g = _lcm(a.grid, int(new_lead.denominator))
+    g = lcm(a.grid, int(new_lead.denominator))
     rel = a.order - a.lead
     u = a.coeffs
     out = [ONE] + [ZERO] * (rel - 1)
@@ -532,7 +392,7 @@ def first_mismatch(a: PuiseuxSeries, b: PuiseuxSeries, below=None):
     Compares every exponent < min(orders, below); raises if that window is
     empty while a bound was requested.
     """
-    g = _lcm(a.grid, b.grid)
+    g = lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
     stop = min(a.order, b.order)
     if below is not None:

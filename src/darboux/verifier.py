@@ -130,7 +130,8 @@ def expand_terms(terms, chart: str, target) -> PuiseuxSeries:
             acc = s if acc is None else ps_mul(acc, s)
         if acc is None:
             acc = PuiseuxSeries.const(ONE, target)
-        acc = acc.scale(term.weight if not isinstance(term.weight, int) else QQ(term.weight))
+        if term.weight != 1:
+            acc = acc.scale(term.weight)
         total = acc if total is None else total + acc
     if total is None:
         return PuiseuxSeries.zero(target)

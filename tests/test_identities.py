@@ -2,11 +2,13 @@
 perturbation negative controls, unit-lead audits, chart rearrangement
 guards, and the candidate-separation re-enactment."""
 
+import sys
+
 import pytest
 
 from darboux.polyalg import RationalMap, poly
 from darboux.scalars import QQ, Omega, rat
-from darboux.series import first_mismatch
+from darboux.series import PuiseuxSeries, first_mismatch
 from darboux.catalog import CHECKS, IDENTITIES, IDENTITY_BY_ID, SUITES, run_check
 from darboux.report import INSUFFICIENT
 from darboux.verifier import (
@@ -76,6 +78,21 @@ def test_truncation_stability_of_a_pass():
     assert verify_identity(spec, 32).ok
     for n in (8, 12, 24):
         assert verify_identity(spec, n).ok
+
+
+def test_weight_one_terms_are_not_scaled(monkeypatch):
+    # every term of h7-x7 has weight 1, so expand_terms has nothing to scale
+    weights = []
+    real = PuiseuxSeries.scale
+
+    def spy(self, c):
+        if sys._getframe(1).f_code.co_name == "expand_terms":
+            weights.append(c)
+        return real(self, c)
+
+    monkeypatch.setattr(PuiseuxSeries, "scale", spy)
+    assert verify_identity(IDENTITY_BY_ID["h7-x7"], 20).ok
+    assert [c for c in weights if c == 1] == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,28 +2,22 @@
 
 The reference functions below are the former implementations of ps_mul
 (a direct convolution of rationals), of the unit inverse behind ps_div (the
-linear recurrence) and of ps_compose (Horner with every step kept to the
-full bound).  The kernel must reproduce their results exactly: the same
-grid, lead, order and coefficients.
+linear recurrence), of ps_compose (Horner with every step kept to the
+full bound) and of UniPoly.__mul__ (the schoolbook convolution).  The
+kernel must reproduce their results exactly: the same grid, lead, order
+and coefficients, or the same polynomial.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
-import darboux.series as series_module
+import darboux.kernel as kernel_module
+from darboux.kernel import _kmul, _pack, _unpack, _vec
+from darboux.polyalg import UniPoly
 from darboux.scalars import QQ, ZERO, ONE, Omega, scalar_inv
-from darboux.series import (
-    PuiseuxSeries,
-    _kmul,
-    _lcm,
-    _pack,
-    _unpack,
-    _vec,
-    ps_compose,
-    ps_div,
-    ps_mul,
-)
+from darboux.series import PuiseuxSeries, ps_compose, ps_div, ps_mul
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +26,7 @@ from darboux.series import (
 
 def ref_mul(a, b):
     """Product by direct convolution of the coefficient lists."""
-    g = _lcm(a.grid, b.grid)
+    g = lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
     la = a.lead if a.coeffs else a.order
     lb = b.lead if b.coeffs else b.order
@@ -69,7 +63,7 @@ def ref_unit_inverse(coeffs, n):
 
 
 def ref_div(a, b):
-    g = _lcm(a.grid, b.grid)
+    g = lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
     rel = b.order - b.lead
     inv = PuiseuxSeries.make(g, -b.lead, ref_unit_inverse(b.coeffs, rel), -b.lead + rel)
@@ -104,6 +98,20 @@ def ref_compose(a, b):
             if k > a.lead:
                 p = ref_mul(p, binv).truncate(bound)
     return acc.truncate(bound)
+
+
+def ref_poly_mul(p, q):
+    """Polynomial product by schoolbook convolution of the coefficients."""
+    if not p.coeffs or not q.coeffs:
+        return UniPoly()
+    out = [ZERO] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(q.coeffs):
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return UniPoly(out)
 
 
 def assert_same(got, want):
@@ -244,6 +252,57 @@ def test_compose_skips_steps_beyond_the_bound():
 
 
 # ---------------------------------------------------------------------------
+# polynomial products
+# ---------------------------------------------------------------------------
+
+@st.composite
+def polys(draw, kind="rational", max_terms=12):
+    """A polynomial whose nonzero coefficients sit at multiples of a step
+    above an offset, so that the sublattice compression sees strides."""
+    step = draw(st.sampled_from((1, 2, 7)))
+    offset = draw(st.integers(min_value=0, max_value=3))
+    terms = draw(st.integers(min_value=0, max_value=max_terms))
+    coeffs = [ZERO] * (offset + terms * step)
+    for i in range(terms):
+        coeffs[offset + i * step] = draw(scalar[kind])
+    return UniPoly(coeffs)
+
+
+def assert_poly_product(p, q):
+    got = p * q
+    assert got.coeffs == ref_poly_mul(p, q).coeffs
+    omega = any(isinstance(c, Omega) for c in p.coeffs + q.coeffs)
+    for c in got.coeffs:
+        if c:
+            assert isinstance(c, Omega) == omega
+        else:
+            assert c is ZERO
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_poly_mul_matches_schoolbook(data, ka, kb):
+    assert_poly_product(data.draw(polys(ka)), data.draw(polys(kb)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), kinds)
+def test_poly_mul_by_constants_and_zero(data, kind):
+    p = data.draw(polys(kind))
+    c = UniPoly([data.draw(scalar[kind].filter(bool))])
+    zero = UniPoly()
+    for a, b in ((p, c), (c, p), (c, c), (p, zero), (zero, p), (zero, zero)):
+        assert_poly_product(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(big, min_size=1, max_size=10), st.lists(big, min_size=1, max_size=10))
+def test_poly_mul_with_wide_numerators(xs, ys):
+    """Every coefficient has a numerator over 600 bits."""
+    assert_poly_product(UniPoly(xs), UniPoly(ys))
+
+
+# ---------------------------------------------------------------------------
 # packing at the edges of a slot
 # ---------------------------------------------------------------------------
 
@@ -309,10 +368,10 @@ def test_sublattice_keeps_packing_small():
     base = PuiseuxSeries.make(1, 0, [QQ(k + 1, 3) for k in range(27)], 27).to_grid(42)
     x = _vec(base.coeffs)
     packed = []
-    real = series_module._pack
+    real = kernel_module._pack
     try:
-        series_module._pack = lambda v, w: packed.append(len(v)) or real(v, w)
+        kernel_module._pack = lambda v, w: packed.append(len(v)) or real(v, w)
         _kmul(x, x, len(base.coeffs))
     finally:
-        series_module._pack = real
+        kernel_module._pack = real
     assert packed == [27, 27]

@@ -1,8 +1,10 @@
 """Polynomial algebra tests with independent oracles."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from darboux.scalars import QQ, W, rat
+from darboux.ellcurve import E7, CurveFunction
+from darboux.scalars import QQ, W, Omega, rat
 from darboux.polyalg import (
     MultiPoly,
     RationalMap,
@@ -96,6 +98,35 @@ def test_resultant_detects_common_factor(a, b, c, d):
     has_common = (a == c) or (a == d) or (b == c) or (b == d)
     assert (r == 0) == has_common
     assert (p.gcd(q).degree > 0) == has_common
+
+
+# ---------------------------------------------------------------------------
+# powers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(10))
+def test_powers_match_repeated_products(n):
+    cases = [
+        (poly(1, -2, QQ(1, 3)), poly(1)),
+        (W + 2, Omega(1)),
+        (MultiPoly({(1, 0): QQ(1), (0, 2): QQ(-3)}), MultiPoly({(0, 0): QQ(1)})),
+        (CurveFunction(E7, poly(1, 2), poly(1), poly(3, 1)), CurveFunction(E7, poly(1))),
+    ]
+    for x, want in cases:
+        for _ in range(n):
+            want = want * x
+        assert x ** n == want
+
+
+def test_power_makes_no_spare_square(monkeypatch):
+    products = []
+    real = UniPoly.__mul__
+    monkeypatch.setattr(UniPoly, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    poly(1, 2, 3) ** 13
+    # 13 = 0b1101: three products into the result and three squarings
+    assert len(products) == 6
+    with pytest.raises(ValueError):
+        poly(1, 2) ** -1
 
 
 # ---------------------------------------------------------------------------
