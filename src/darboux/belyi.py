@@ -15,6 +15,7 @@ from .ellcurve import (
     E7,
     CurveFunction,
     e7_to_e4_x,
+    involution_apply,
     isogeny_pullback,
     phi4_on_e4,
     phi7,
@@ -124,14 +125,14 @@ def rh_genus_cover(degree: int, base_genus: int, branch_orders) -> int:
     return 1 + rhs // 2
 
 
-def belyi_certify(phi: RationalMap, id_: str = "belyi", anchor: str = "") -> VerificationReport:
+def belyi_certify(phi: RationalMap) -> VerificationReport:
     """Pass iff every critical point lies over {0, 1, infinity}: the numerator
     of phi' must divide out exactly into the ramified factors of the three
     fibers (with the point at infinity handled by degree bookkeeping)."""
     num, den = phi.num, phi.den
     wronsk = num.derivative() * den - num * den.derivative()
     if wronsk.is_zero():
-        return failed(id_, anchor, detail="constant map")
+        return failed(detail="constant map")
     expected = UniPoly([ONE])
     for f in (num, num - den, den):
         if f.degree > 0:
@@ -140,11 +141,10 @@ def belyi_certify(phi: RationalMap, id_: str = "belyi", anchor: str = "") -> Ver
                     expected = expected * factor ** (mult - 1)
     q, r = wronsk.divmod(expected)
     if not r.is_zero():
-        return failed(id_, anchor, detail="ramified-factor division not exact")
+        return failed(detail="ramified-factor division not exact")
     if q.degree > 0:
-        return failed(id_, anchor,
-                      detail=f"critical values outside {{0,1,inf}} (degree {q.degree} remains)")
-    return passed(id_, anchor)
+        return failed(detail=f"critical values outside {{0,1,inf}} (degree {q.degree} remains)")
+    return passed()
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,6 @@ def genus1_fiber_one_square(phi: CurveFunction, pole_poly: UniPoly, half: int) -
 def _relation_phi3_phi7() -> VerificationReport:
     """Phi3 composed with the fiber-product projection equals
     27 Phi7^2/(4 - Phi7)^3 in the function field of the first genus-1 curve."""
-    anchor = "cubic-transformation relation between the degree-24 coverings"
     x = e7_to_e4_x()
     p7 = phi7()
     phi3 = Phi3_map()
@@ -265,25 +264,23 @@ def _relation_phi3_phi7() -> VerificationReport:
     rhs_num = 27 * p7 * p7
     rhs_den = (4 - p7) ** 3
     if lhs_num * rhs_den == rhs_num * lhs_den:
-        return passed("rel-phi3-phi7", anchor)
-    return failed("rel-phi3-phi7", anchor, detail="function-field mismatch")
+        return passed()
+    return failed(detail="function-field mismatch")
 
 
 def _relation_phi4_isogeny() -> VerificationReport:
-    anchor = "quadratic-transformation relation through the 2-isogeny"
     p7 = phi7()
     lhs = isogeny_pullback(phi4_on_e4())
     rhs_num = -4 * p7
     rhs_den = (p7 - 1) ** 2
     if lhs * rhs_den == rhs_num:
-        return passed("rel-phi4-isogeny", anchor)
-    return failed("rel-phi4-isogeny", anchor, detail="function-field mismatch")
+        return passed()
+    return failed(detail="function-field mismatch")
 
 
 def _relation_phi3_star() -> VerificationReport:
     """phi3*(x) * Phi3(mu(x)) == 1 as rational maps over Q(w), and the starred
     map is a rational function of x^3."""
-    anchor = "Moebius-conjugated reciprocal covering over Q(w)"
     star = phi3_star()
     mu = mobius_mu()
     phi3 = RationalMap(
@@ -296,29 +293,25 @@ def _relation_phi3_star() -> VerificationReport:
         ok3 = all(not c or k % 3 == 0 for k, c in enumerate(star.num.coeffs)) and \
             all(not c or k % 3 == 0 for k, c in enumerate(star.den.coeffs))
         if not ok3:
-            return failed("rel-phi3-star", anchor, detail="not a function of x^3")
-        return passed("rel-phi3-star", anchor)
-    return failed("rel-phi3-star", anchor, detail="rational-map mismatch")
+            return failed(detail="not a function of x^3")
+        return passed()
+    return failed(detail="rational-map mismatch")
 
 
 def _relation_involution_phi7() -> VerificationReport:
-    from .ellcurve import involution_apply
-    anchor = "hyperelliptic involution swaps the covering with its reciprocal"
     p7 = phi7()
     if involution_apply(p7) == p7.inverse():
-        return passed("rel-involution-phi7", anchor)
-    return failed("rel-involution-phi7", anchor)
+        return passed()
+    return failed()
 
 
 def _relation_isogeny_curve() -> VerificationReport:
-    anchor = "the invariant pair descends to the second curve"
     p = CurveFunction(E7, poly(0, 1), UniPoly(), poly(1, -11, 32))
     w = CurveFunction(E7, UniPoly(), poly(1, 0, -32), poly(1, -11, 32) ** 2)
     if w * w == p * (1 + 22 * p - 7 * p * p):
-        from .ellcurve import involution_apply
         if involution_apply(p) == p and involution_apply(w) == w:
-            return passed("rel-isogeny-curve", anchor)
-    return failed("rel-isogeny-curve", anchor)
+            return passed()
+    return failed()
 
 
 RELATIONS = {

@@ -1,10 +1,12 @@
-"""Charts, the shipped identity catalog, and the suite map.
+"""Charts, the shipped identity catalog, the check registry, and the suite map.
 
-Each identity carries its citation anchor so a failing run names the exact
-display it contradicts.  Chart entries are exact series builders; recipe
-bases are arranged to have unit lead coefficient (scalar radical
-prefactors cancel between the two sides by construction), so any rational
-exponent, including a perturbed one, stays well defined.
+``CHECKS`` is the one registry of claims: each check, series identity or
+not, is registered once with its citation anchor, so a failing run names the
+exact display it contradicts; check bodies return unlabelled reports.
+Chart entries are exact series builders; recipe bases are arranged to have
+unit lead coefficient (scalar radical prefactors cancel between the two
+sides by construction), so any rational exponent, including a perturbed
+one, stays well defined.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .belyi import (
     belyi_certify,
     branching_pattern,
     genus1_fiber_one_square,
-    pattern,
     phi2_map,
     phi3_star,
     phi3_star_parts,
@@ -48,6 +49,7 @@ from .ellcurve import (
     verify_divisor,
     AffinePoint,
 )
+from .hypergeom import CLASSES, companion_basis, interlacing_check, ode_residual, solution_series
 from .polyalg import RationalMap, UniPoly, poly
 from .report import failed, passed
 from .scalars import QQ, ONE, Omega, W, rat
@@ -710,11 +712,10 @@ for id_, anchor, eta, prod in (
     _add(ident(id_, anchor, "q", [T(_p(eta))], [T(_p(prod))], order=50))
 
 IDENTITY_BY_ID = {s.id: s for s in IDENTITIES}
-assert len(IDENTITY_BY_ID) == len(IDENTITIES), "duplicate identity ids"
 
 
 # ---------------------------------------------------------------------------
-# non-series checks
+# the check registry: every claim by id, with the anchor its results cite
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -724,18 +725,27 @@ class Check:
     run: object                  # callable(order) -> VerificationReport
 
 
+CHECKS: dict = {}
+
+
+def _register(id_, anchor, run):
+    assert id_ not in CHECKS, f"duplicate check id {id_!r}"
+    CHECKS[id_] = Check(id_, anchor, run)
+
+
+for _spec in IDENTITIES:
+    _register(_spec.id, _spec.anchor, lambda order, spec=_spec: verify_identity(spec, order))
+
+
 def _pattern_check(name):
     def run(order):
         entry = COVERINGS[name]
         p = branching_pattern(P1_MAPS[name]())
         if p != entry.expected_pattern:
-            return failed(f"pattern-{name}", "branching pattern", detail=f"got {p}")
+            return failed(detail=f"got {p}")
         if rh_genus(p) != entry.expected_genus:
-            return failed(f"pattern-{name}", "branching pattern", detail="genus mismatch")
-        cert = belyi_certify(P1_MAPS[name](), id_=f"pattern-{name}")
-        if not cert.ok:
-            return cert
-        return passed(f"pattern-{name}", f"branching pattern and genus of {name}")
+            return failed(detail="genus mismatch")
+        return belyi_certify(P1_MAPS[name]())
     return run
 
 
@@ -744,143 +754,125 @@ def _genus1_pattern_check(which):
         if which == "Phi7":
             f, divisor, curve = phi7(), PHI7_DIVISOR, E7
             pole = (poly(q(-1, 8), 1) ** 2) * V_CLUSTER.minpoly ** 7
-            expect = pattern([7, 7, 7, 1, 1, 1], [2] * 12, [7, 7, 7, 1, 1, 1])
         else:
             f, divisor, curve = phi4_on_e4(), PHI4_DIVISOR, E4
             pole = T_CLUSTER.minpoly ** 4
-            expect = pattern([7, 7, 7, 1, 1, 1], [2] * 12, [4] * 6)
-        rep = verify_divisor(curve, f, divisor, id_=f"pattern-{which}")
+        rep = verify_divisor(curve, f, divisor)
         if not rep.ok:
             return rep
         if not genus1_fiber_one_square(f, pole, 12):
-            return failed(f"pattern-{which}", "genus-1 fiber over 1",
-                          detail="fiber over 1 is not [2^12]")
-        return passed(f"pattern-{which}",
-                      f"branching pattern {expect} via divisors and degree accounting")
+            return failed(detail="fiber over 1 is not [2^12]")
+        return passed()
     return run
 
 
 def _remark_coverings_check(order):
-    anchor = "Riemann-Hurwitz genus of the remark coverings"
     for rec in modular.REMARK_COVERINGS:
         g = rh_genus_cover(rec["degree"], rec["base_genus"], rec["branch_orders"])
         if g != rec["genus"]:
-            return failed("remark-coverings", anchor,
-                          detail=f"{rec['curve']}: genus {g}, stated {rec['genus']}")
-    return passed("remark-coverings", anchor)
-
-
-def _divisor_checks():
-    out = []
-    for name, f, divisor in TABLE1:
-        out.append(Check(f"div-e7-{name}", "first divisor table row " + name,
-                         (lambda order, f=f, d=divisor, n=name:
-                          verify_divisor(E7, f, d, id_=f"div-e7-{n}",
-                                         anchor="first divisor table row " + n))))
-    for name, f, divisor in TABLE2:
-        out.append(Check(f"div-e4-{name}", "second divisor table row " + name,
-                         (lambda order, f=f, d=divisor, n=name:
-                          verify_divisor(E4, f, d, id_=f"div-e4-{n}",
-                                         anchor="second divisor table row " + n))))
-    out.append(Check("div-e7-Phi7", "divisor of the degree-24 covering on the first curve",
-                     lambda order: verify_divisor(E7, phi7(), PHI7_DIVISOR, id_="div-e7-Phi7",
-                                                  anchor="divisor of the first covering")))
-    out.append(Check("div-e4-Phi4", "divisor of the degree-24 covering on the second curve",
-                     lambda order: verify_divisor(E4, phi4_on_e4(), PHI4_DIVISOR,
-                                                  id_="div-e4-Phi4",
-                                                  anchor="divisor of the second covering")))
-    return out
-
-
-def _bridge_checks():
-    t1 = {name: f for name, f, _ in TABLE1}
-    bridges = [
-        ("bridge-1", lambda: t1["v-u"] * t1["G4"] == t1["1-8u"] * t1["G4h"]),
-        ("bridge-2", lambda: t1["1-4u"] * t1["v-u"] * t1["F3t"] == t1["1-8u"] * t1["v+u"] * t1["F4t"]),
-        ("bridge-3", lambda: t1["v+u"] * t1["G3"] == t1["1-4u"] * t1["G3h"]),
-        ("bridge-4", lambda: t1["1-4u"] * t1["v+u"] * t1["F3"] == t1["1-8u"] * t1["v-u"] * t1["F4"]),
-        ("bridge-5", lambda: t1["F4"] * t1["F4t"] == t1["1-4u"] * t1["1-4u"] * t1["1-8u"]),
-        ("bridge-6", lambda: t1["v-u"] * t1["v+u"] == t1["u"] * t1["1-4u"] * t1["1-8u"]),
-    ]
-    out = []
-    for id_, pred in bridges:
-        def run(order, pred=pred, id_=id_):
-            if pred():
-                return passed(id_, "bridging identity between table functions")
-            return failed(id_, "bridging identity between table functions")
-        out.append(Check(id_, "bridging identity between table functions", run))
-    return out
+            return failed(detail=f"{rec['curve']}: genus {g}, stated {rec['genus']}")
+    return passed()
 
 
 def _torsion_check(order):
     rep = torsion_audit(E4)
-    if rep["ok"]:
-        return passed("torsion-e4", "rational torsion of the second curve is Z/6Z")
-    return failed("torsion-e4", "rational torsion of the second curve", detail=str(rep))
+    return passed() if rep["ok"] else failed(detail=str(rep))
 
 
-def _klein_checks():
-    return [
-        Check("klein-congruence", "Klein invariant congruence",
-              lambda order: modular.klein_invariant_congruence()),
-        Check("klein-quotient", "degree-7 cyclic quotient of the Klein quartic",
-              lambda order: modular.verify_quotient_curve()),
-    ]
-
-
-def _coeff_check(id_, anchor, name, expected):
+def _coeff_check(name, expected):
     def run(order):
         need = max(e for e, _ in expected) + 1
         s = modular.qseries(name, need)
         for e, c in expected:
             got = s.coefficient(QQ(e))
             if got != c:
-                return failed(id_, anchor,
-                              detail=f"coefficient of q^{e}: got {got}, expected {c}")
-        return passed(id_, anchor)
-    return Check(id_, anchor, run)
+                return failed(detail=f"coefficient of q^{e}: got {got}, expected {c}")
+        return passed()
+    return run
 
 
-def _separation_checks():
-    return [
-        Check("sep-3A", "radical-candidate separation, first family",
-              lambda order: verify_radical_candidate_separation("3A")),
-        Check("sep-3B", "radical-candidate separation, second family",
-              lambda order: verify_radical_candidate_separation("3B")),
-    ]
+_HPG_DEPTH = 8                   # series depth of the 3F2 class checks, whatever the order
 
 
-CHECKS: dict = {}
+def _class_params():
+    for cls in CLASSES.values():
+        for p in (cls.representative,) + cls.members:
+            yield cls.label, p
 
 
-def _register_checks():
-    items = []
-    for name in sorted(P1_MAPS):
-        items.append(Check(f"pattern-{name}", f"branching pattern of {name}", _pattern_check(name)))
-    items.append(Check("pattern-Phi7", "branching pattern of the first genus-1 covering",
-                       _genus1_pattern_check("Phi7")))
-    items.append(Check("pattern-Phi4", "branching pattern of the second genus-1 covering",
-                       _genus1_pattern_check("Phi4")))
-    for rid in RELATION_IDS:
-        items.append(Check(rid, "covering relation " + rid,
-                           (lambda order, rid=rid: verify_cover_relation(rid))))
-    items.append(Check("remark-coverings", "Riemann-Hurwitz genus of the remark coverings",
-                       _remark_coverings_check))
-    items.extend(_divisor_checks())
-    items.extend(_bridge_checks())
-    items.append(Check("torsion-e4", "rational torsion audit", _torsion_check))
-    items.extend(_klein_checks())
-    items.extend(_separation_checks())
-    items.append(_coeff_check("j-coefficients", "the leading j-expansion coefficients", "j",
-                              [(-1, QQ(1)), (0, QQ(744)), (1, QQ(196884)), (2, QQ(21493760))]))
-    items.append(_coeff_check("x7-coefficients", "initial coefficients of the level-7 Hauptmodul",
-                              "x7",
-                              [(1, QQ(-1)), (2, QQ(2)), (3, QQ(0)), (4, QQ(-5)), (5, QQ(4))]))
-    for c in items:
-        CHECKS[c.id] = c
+def _hpg_ode_check(order):
+    for label, p in _class_params():
+        for sol in companion_basis(p).all():
+            r = ode_residual(solution_series(sol, _HPG_DEPTH), p, at_infinity=sol.at_infinity)
+            if not r.is_zero():
+                where = "infinity" if sol.at_infinity else "0"
+                return failed(_HPG_DEPTH, detail=f"{label} {p}: the local solution with exponent "
+                                                f"{sol.exponent} at {where} leaves a residual")
+    return passed(_HPG_DEPTH)
 
 
-_register_checks()
+def _hpg_interlacing_check(order):
+    for label, p in _class_params():
+        if not interlacing_check(p):
+            return failed(detail=f"{label} {p}: parameters do not interlace")
+    return passed()
+
+
+_RELATION_ANCHORS = {
+    "rel-phi3-phi7": "cubic-transformation relation between the degree-24 coverings",
+    "rel-phi4-isogeny": "quadratic-transformation relation through the 2-isogeny",
+    "rel-phi3-star": "Moebius-conjugated reciprocal covering over Q(w)",
+    "rel-involution-phi7": "hyperelliptic involution swaps the covering with its reciprocal",
+    "rel-isogeny-curve": "the invariant pair descends to the second curve",
+}
+
+for _name in sorted(P1_MAPS):
+    _register(f"pattern-{_name}", f"branching pattern and genus of {_name}", _pattern_check(_name))
+for _name in ("Phi7", "Phi4"):
+    _register(f"pattern-{_name}",
+              f"branching pattern {COVERINGS[_name].expected_pattern} via divisors and degree accounting",
+              _genus1_pattern_check(_name))
+for _rid in RELATION_IDS:
+    _register(_rid, _RELATION_ANCHORS[_rid], lambda order, rid=_rid: verify_cover_relation(rid))
+_register("remark-coverings", "Riemann-Hurwitz genus of the remark coverings",
+          _remark_coverings_check)
+
+for _table, _curve, _which, _row in ((TABLE1, E7, "e7", "first"), (TABLE2, E4, "e4", "second")):
+    for _name, _f, _divisor in _table:
+        _register(f"div-{_which}-{_name}", f"{_row} divisor table row {_name}",
+                  lambda order, c=_curve, f=_f, d=_divisor: verify_divisor(c, f, d))
+_register("div-e7-Phi7", "divisor of the degree-24 covering on the first curve",
+          lambda order: verify_divisor(E7, phi7(), PHI7_DIVISOR))
+_register("div-e4-Phi4", "divisor of the degree-24 covering on the second curve",
+          lambda order: verify_divisor(E4, phi4_on_e4(), PHI4_DIVISOR))
+
+_t1 = {name: f for name, f, _ in TABLE1}
+for _id, _pred in (
+        ("bridge-1", lambda t: t["v-u"] * t["G4"] == t["1-8u"] * t["G4h"]),
+        ("bridge-2", lambda t: t["1-4u"] * t["v-u"] * t["F3t"] == t["1-8u"] * t["v+u"] * t["F4t"]),
+        ("bridge-3", lambda t: t["v+u"] * t["G3"] == t["1-4u"] * t["G3h"]),
+        ("bridge-4", lambda t: t["1-4u"] * t["v+u"] * t["F3"] == t["1-8u"] * t["v-u"] * t["F4"]),
+        ("bridge-5", lambda t: t["F4"] * t["F4t"] == t["1-4u"] * t["1-4u"] * t["1-8u"]),
+        ("bridge-6", lambda t: t["v-u"] * t["v+u"] == t["u"] * t["1-4u"] * t["1-8u"])):
+    _register(_id, "bridging identity between table functions",
+              lambda order, pred=_pred: passed() if pred(_t1) else failed())
+
+_register("torsion-e4", "rational torsion of the second curve is Z/6Z", _torsion_check)
+_register("klein-congruence", "Klein invariant congruence",
+          lambda order: modular.klein_invariant_congruence())
+_register("klein-quotient", "degree-7 cyclic quotient of the Klein quartic",
+          lambda order: modular.verify_quotient_curve())
+for _family in ("3A", "3B"):
+    _register(f"sep-{_family}", f"radical-solution selection, family {_family}",
+              lambda order, family=_family: verify_radical_candidate_separation(family))
+_register("j-coefficients", "the leading j-expansion coefficients",
+          _coeff_check("j", [(-1, QQ(1)), (0, QQ(744)), (1, QQ(196884)), (2, QQ(21493760))]))
+_register("x7-coefficients", "initial coefficients of the level-7 Hauptmodul",
+          _coeff_check("x7", [(1, QQ(-1)), (2, QQ(2)), (3, QQ(0)), (4, QQ(-5)), (5, QQ(4))]))
+_register("hpg-ode", "every local solution of each 3F2 class parameter set solves its equation",
+          _hpg_ode_check)
+_register("hpg-interlacing", "each 3F2 class parameter set interlaces, as finite monodromy requires",
+          _hpg_interlacing_check)
 
 
 # ---------------------------------------------------------------------------
@@ -896,13 +888,13 @@ SUITES = {
     "genus0-omega": ["thm-omega-1", "thm-omega-2", "thm-omega-3"],
     "genus1-e7": [s.id for s in IDENTITIES if s.chart == "t7"],
     "genus1-e4": [s.id for s in IDENTITIES if s.chart == "t4"] + ["torsion-e4"],
-    "divisors": [c.id for c in _divisor_checks()] + [f"bridge-{k}" for k in range(1, 7)],
+    "divisors": [cid for cid in CHECKS if cid.startswith(("div-", "bridge-"))],
     "belyi": [f"pattern-{n}" for n in sorted(P1_MAPS)] + ["pattern-Phi7", "pattern-Phi4"]
              + list(RELATION_IDS) + ["remark-coverings"],
     "transformations": [
         "t32a-quadratic", "t32b-cubic", "t32c-cubic",
         "dihedral-1", "dihedral-2", "dihedral-3", "dihedral-4",
-        "tetra-2", "tetra-3", "icosa-1", "icosa-2",
+        "tetra-2", "tetra-3", "icosa-1", "icosa-2", "hpg-ode", "hpg-interlacing",
     ],
     "klein-invariants": ["klein-congruence", "klein-quotient", "klein-quotient-q"],
     "modular-level5": ["h5-x5", "h5-prod", "j-phi5-x5", "x5-h5-substitution",
@@ -928,17 +920,15 @@ SUITES = {
 SUITES["all"] = sorted({cid for ids in SUITES.values() for cid in ids})
 
 
+def _lookup(check_id: str) -> Check:
+    if check_id not in CHECKS:
+        raise KeyError(f"unknown check {check_id!r}")
+    return CHECKS[check_id]
+
+
 def run_check(check_id: str, order: int) -> VerificationReport:
-    if check_id in IDENTITY_BY_ID:
-        return verify_identity(IDENTITY_BY_ID[check_id], order)
-    if check_id in CHECKS:
-        return CHECKS[check_id].run(order)
-    raise KeyError(f"unknown check {check_id!r}")
+    return _lookup(check_id).run(order)
 
 
 def check_anchor(check_id: str) -> str:
-    if check_id in IDENTITY_BY_ID:
-        return IDENTITY_BY_ID[check_id].anchor
-    if check_id in CHECKS:
-        return CHECKS[check_id].anchor
-    raise KeyError(f"unknown check {check_id!r}")
+    return _lookup(check_id).anchor

@@ -47,15 +47,14 @@ def _run_checks(label: str, ids, order: int) -> dict:
             rep = catalog.run_check(cid, order)
         except Exception as e:
             traceback.print_exc(file=sys.stderr)
-            rep = VerificationReport(cid, catalog.check_anchor(cid), ERROR,
-                                     detail=f"{type(e).__name__}: {e}")
-        results.append(rep)
-    ok = all(r.status == PASS for r in results)
+            rep = VerificationReport(ERROR, detail=f"{type(e).__name__}: {e}")
+        results.append({"id": cid, "anchor": catalog.check_anchor(cid), **rep.as_dict()})
+    ok = all(r["status"] == PASS for r in results)
     return {
         "version": __version__,
         "suite": label,
         "order": order,
-        "results": [r.as_dict() for r in results],
+        "results": results,
         "duration_ms": int((time.monotonic() - t0) * 1000),
         "status": "pass" if ok else "fail",
     }
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
     if args.dump:
         try:
             print(dump_series(args.dump, args.order, args.format))
-        except KeyError as e:
+        except (KeyError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
         return 0

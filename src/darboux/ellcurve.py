@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyalg import RationalMap, UniPoly, poly, rational_roots
+from .polyalg import RationalMap, UniPoly, poly, rational_roots, resultant
 from .report import Mismatch, VerificationReport, failed, passed
-from .scalars import QQ, ONE, power, rat
+from .scalars import QQ, ONE, power, rat, scalar_inv
 from .series import PuiseuxSeries, ps_div, ps_pow
 from .verifier import memo
 
@@ -67,7 +67,6 @@ class Curve:
     c: UniPoly                    # quadratic factor; equation sq = var*c(var)
 
     def __post_init__(self):
-        from .polyalg import resultant
         rhs = self.rhs
         disc = resultant(rhs, rhs.derivative())
         if not disc:
@@ -140,7 +139,6 @@ def _invert_mod(p: UniPoly, m: UniPoly) -> UniPoly:
         s0, s1 = s1, s0 - q * s1
     if r1.is_zero():
         raise ZeroDivisionError("element not invertible in the residue algebra")
-    from .scalars import scalar_inv
     return (s1.scale(scalar_inv(r1.coeffs[0]))) % m
 
 
@@ -396,8 +394,7 @@ def divisor_degree(divisor) -> object:
     return total
 
 
-def verify_divisor(curve: Curve, f: CurveFunction, divisor, id_: str = "divisor",
-                   anchor: str = "") -> VerificationReport:
+def verify_divisor(curve: Curve, f: CurveFunction, divisor) -> VerificationReport:
     """Exact check that div(f) equals the stated fractional divisor.
 
     Pass requires: degree 0; the stated order at the infinite place by the
@@ -407,10 +404,10 @@ def verify_divisor(curve: Curve, f: CurveFunction, divisor, id_: str = "divisor"
     hide at an unstated place.
     """
     if f.is_zero():
-        return failed(id_, anchor, detail="zero function has no divisor")
+        return failed(detail="zero function has no divisor")
     deg = divisor_degree(divisor)
     if deg != 0:
-        return failed(id_, anchor, detail=f"divisor degree {deg}, expected 0")
+        return failed(detail=f"divisor degree {deg}, expected 0")
 
     coeffs = {}
     for place, coeff in divisor:
@@ -420,33 +417,30 @@ def verify_divisor(curve: Curve, f: CurveFunction, divisor, id_: str = "divisor"
     stated_o = coeffs.pop(("O",), QQ(0))
     got_o = f.order_at_infinity()
     if QQ(got_o) != stated_o:
-        return failed(id_, anchor,
-                      detail=f"order at infinity {got_o}, stated {stated_o}")
+        return failed(detail=f"order at infinity {got_o}, stated {stated_o}")
 
     points = [(p, c) for p, c in coeffs.items() if isinstance(p, AffinePoint)]
     clusters = [(p, c) for p, c in coeffs.items() if isinstance(p, PlaceCluster)]
 
     for p, c in points:
         if c.denominator != 1:
-            return failed(id_, anchor, detail=f"non-integral order {c} at {p}")
+            return failed(detail=f"non-integral order {c} at {p}")
         depth = 2 * (abs(int(c)) + 3)
         s = f.expand_at(p, depth)
         if s.is_zero():
-            return failed(id_, anchor, detail=f"expansion at {p} vanished to depth {depth}")
+            return failed(detail=f"expansion at {p} vanished to depth {depth}")
         if s.lead_exponent != c:
-            return failed(id_, anchor,
-                          mismatch=Mismatch(s.lead_exponent, s.lead_exponent, c),
+            return failed(mismatch=Mismatch(s.lead_exponent, s.lead_exponent, c),
                           detail=f"order at {p}")
 
     for cl, c in clusters:
         if QQ(c).denominator != 1:
-            return failed(id_, anchor, detail=f"non-integral order {c} at {cl}")
+            return failed(detail=f"non-integral order {c} at {cl}")
         stated, conj = _cluster_split(curve, f.a, f.b, cl)
         stated -= _mult_in(f.den, cl.minpoly)
         conj -= _mult_in(f.den, cl.minpoly)
         if stated != int(c) or conj != 0:
-            return failed(id_, anchor,
-                          detail=f"cluster {cl}: got ({stated},{conj}), stated ({c},0)")
+            return failed(detail=f"cluster {cl}: got ({stated},{conj}), stated ({c},0)")
 
     # completeness: the norm of f must factor exactly as the divisor says;
     # orders at (u0, v0) and (u0, -v0) combine, 2-torsion counts once
@@ -475,11 +469,11 @@ def verify_divisor(curve: Curve, f: CurveFunction, divisor, id_: str = "divisor"
     lhs = norm.num * expected_den
     rhs = norm.den * expected_num
     if lhs.degree != rhs.degree:
-        return failed(id_, anchor, detail="norm degree mismatch: unstated places present")
+        return failed(detail="norm degree mismatch: unstated places present")
     scale = lhs.lc / rhs.lc
     if not (lhs - rhs.scale(scale)).is_zero():
-        return failed(id_, anchor, detail="norm factorization mismatch: unstated places present")
-    return passed(id_, anchor)
+        return failed(detail="norm factorization mismatch: unstated places present")
+    return passed()
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def residue_product(n: int, modulus: int, residues, exponent: int) -> PuiseuxSer
     return _product(n, ((k, -1, exponent) for k in range(1, n) if k % modulus in rs))
 
 
-def theta_sum(n: int, a: int, b: int, c: int = 0) -> PuiseuxSeries:
+def theta_sum(n: int, a: int, b: int, c=0) -> PuiseuxSeries:
     """sum over all integers k of (-1)^k q^{(a k^2 + b k)/2 + c}, below order n."""
     pairs = []
     bound = isqrt(max(8 * n // max(a, 1), 0)) + 3
@@ -234,24 +234,12 @@ def _quintuple_lhs(n, j):
     return _product(n, factors)
 
 
-def _quintuple_rhs(n, j):
-    pairs = {}
-    bound = isqrt(n) + 4
-    for k in range(-bound, bound + 1):
-        s_exp = 7 * (3 * k * k - k) // 2
-        sgn = ONE if k % 2 == 0 else -ONE
-        for e in (s_exp - j * (3 * k - 1), s_exp + 3 * j * k):
-            if 0 <= e < n:
-                pairs[e] = pairs.get(e, ZERO) + sgn
-    return PuiseuxSeries.from_pairs(list(pairs.items()), n)
-
-
 def _builders():
     b = {}
 
     b["q"] = lambda n: PuiseuxSeries.monomial(QQ(1), n)
     b["eta"] = lambda n: eta_quotient([(1, 1)], n)
-    b["eta_theta"] = lambda n: _eta_theta(n)
+    b["eta_theta"] = lambda n: theta_sum(n, 3, 1, rat(1, 24))     # q^{(6k+1)^2/24}
     b["eta7_prod"] = lambda n: _product(n, ((7 * k, -1, 1) for k in range(1, n // 7 + 2)))
     b["E4"] = _build_E4
     b["E6"] = _build_E6
@@ -329,7 +317,8 @@ def _builders():
 
     for jj in (1, 2, 3):
         b[f"quintuple_lhs_y{jj}"] = (lambda n, jj=jj: _quintuple_lhs(n, jj))
-        b[f"quintuple_rhs_y{jj}"] = (lambda n, jj=jj: _quintuple_rhs(n, jj))
+        b[f"quintuple_rhs_y{jj}"] = (lambda n, jj=jj: theta_sum(n, 21, -(7 + 6 * jj), jj)
+                                     + theta_sum(n, 21, 6 * jj - 7))
 
     # octahedral eta quotients and products
     b["octa1_eta"] = lambda n: eta_quotient([(2, 5), (4, -2), (1, -3)], n)
@@ -357,22 +346,6 @@ def _over_1728(make_map, base, pad):
     """Builder of phi(base)/1728 for a covering phi, from base at n + pad."""
     return lambda n: (make_map().eval_series(qseries(base, n + pad))
                       .scale(rat(1, 1728)).truncate(n))
-
-
-def _eta_theta(n):
-    pairs = []
-    k = 0
-    while True:
-        added = False
-        for kk in (k, -k) if k else (0,):
-            e = QQ((6 * kk + 1) ** 2, 24)
-            if e < n:
-                pairs.append((e, QQ(-1) ** abs(kk)))
-                added = True
-        if not added and k > 0:
-            break
-        k += 1
-    return PuiseuxSeries.from_pairs(pairs, n)
 
 
 def _klein_poly_series(n, mp: MultiPoly):
@@ -438,35 +411,32 @@ def klein_R21() -> MultiPoly:
 def klein_invariant_congruence() -> VerificationReport:
     """R21^2 - R14^3 + 1728 R6^7 reduces to 0 mod R4 (and the degree audit,
     and the same congruence arranged as the Galois-covering identity)."""
-    anchor = "Klein invariant congruence"
     r4, r6, r14, r21 = klein_R4(), klein_R6(), klein_R14(), klein_R21()
     combo = r21 * r21 - r14 ** 3 + (r6 ** 7).scale(QQ(1728))
     if (r21 * r21).total_degree() != 42:
-        return failed("klein-congruence", anchor, detail="degree audit failed")
+        return failed(detail="degree audit failed")
     rem = combo.reduce_mod(r4)
     if not rem.is_zero():
-        return failed("klein-congruence", anchor,
-                      detail=f"nonzero remainder with {len(rem.terms)} monomials")
+        return failed(detail=f"nonzero remainder with {len(rem.terms)} monomials")
     # covering identity: 1728 R6^7 / R14^3 = 1 - R21^2 / R14^3, cleared
     cleared = (r6 ** 7).scale(QQ(1728)) - r14 ** 3 + r21 * r21
     if not cleared.reduce_mod(r4).is_zero():
-        return failed("klein-congruence", anchor, detail="covering identity failed")
-    return passed("klein-congruence", anchor)
+        return failed(detail="covering identity failed")
+    return passed()
 
 
 def verify_quotient_curve() -> VerificationReport:
     """y^7 = x(x-1)^2 under x = -X^2 Y/Z^3, y = -Y/Z: polynomial reduction
     mod R4 after clearing Z powers.  The same substitution on the q-series
     is the catalog identity ``klein-quotient-q``."""
-    anchor = "degree-7 cyclic quotient of the Klein curve"
     X = MultiPoly.variable(0, 3)
     Y = MultiPoly.variable(1, 3)
     Z = MultiPoly.variable(2, 3)
     x2y = X * X * Y
     cleared = -(Y ** 7) * Z * Z + x2y * (x2y + Z ** 3) ** 2
     if not cleared.reduce_mod(klein_R4()).is_zero():
-        return failed("klein-quotient", anchor, detail="polynomial reduction nonzero")
-    return passed("klein-quotient", anchor)
+        return failed(detail="polynomial reduction nonzero")
+    return passed()
 
 
 # Galois coverings noted for the radical-function domains: recorded as data,

@@ -22,8 +22,7 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    id: str
-    anchor: str
+    """What a check found; its id and anchor are the catalog's to attach."""
     status: str
     order: object = None
     first_mismatch: Mismatch | None = None
@@ -34,7 +33,7 @@ class VerificationReport:
         return self.status == PASS
 
     def as_dict(self):
-        out = {"id": self.id, "anchor": self.anchor, "status": self.status}
+        out = {"status": self.status}
         if self.order is not None:
             out["order"] = str(self.order)
         if self.first_mismatch is not None:
@@ -44,9 +43,9 @@ class VerificationReport:
         return out
 
 
-def passed(id_, anchor, order=None, detail="") -> VerificationReport:
-    return VerificationReport(id_, anchor, PASS, order, None, detail)
+def passed(order=None, detail="") -> VerificationReport:
+    return VerificationReport(PASS, order, None, detail)
 
 
-def failed(id_, anchor, order=None, mismatch=None, detail="") -> VerificationReport:
-    return VerificationReport(id_, anchor, FAIL, order, mismatch, detail)
+def failed(order=None, mismatch=None, detail="") -> VerificationReport:
+    return VerificationReport(FAIL, order, mismatch, detail)

@@ -142,8 +142,7 @@ def verify_identity(spec: IdentitySpec, order: int) -> VerificationReport:
     """Compare both sides exactly for all exponents below the order."""
     order = int(order)
     if order < spec.min_order:
-        return VerificationReport(spec.id, spec.anchor, INSUFFICIENT, order,
-                                  detail=f"needs order >= {spec.min_order}")
+        return VerificationReport(INSUFFICIENT, order, detail=f"needs order >= {spec.min_order}")
     pad = 8
     for _ in range(6):
         target = order + pad
@@ -153,8 +152,8 @@ def verify_identity(spec: IdentitySpec, order: int) -> VerificationReport:
         if cov >= order:
             hit = first_mismatch(left, right, below=order)
             if hit is None:
-                return passed(spec.id, spec.anchor, order)
-            return failed(spec.id, spec.anchor, order, Mismatch(*hit))
+                return passed(order)
+            return failed(order, Mismatch(*hit))
         pad += int(ceil(QQ(order) - cov)) + 8
     raise RuntimeError(f"could not reach order {order} for {spec.id}")
 
@@ -242,8 +241,6 @@ def verify_radical_candidate_separation(class_id: str, n: int = 10) -> Verificat
     series coefficient and the later coefficients must then agree, which
     singles out one family and pins c.
     """
-    anchor = f"radical-solution selection, family {class_id}"
-    id_ = f"sep-{class_id}"
     if class_id == "3A":
         for slot, upper, lower, true_f, decoy_f in CANDIDATE_SETS["3A"]:
             target = _hpg_side_dlog("x", slot, upper, lower, n)
@@ -251,11 +248,10 @@ def verify_radical_candidate_separation(class_id: str, n: int = 10) -> Verificat
             bad = _product_dlog("x", decoy_f, n + 2)
             lim = min(target.order_exponent, good.order_exponent, bad.order_exponent)
             if first_mismatch(target, good, below=lim) is not None:
-                return failed(id_, anchor, n, detail=f"true candidate rejected at slot {slot}")
+                return failed(n, detail=f"true candidate rejected at slot {slot}")
             if first_mismatch(target, bad, below=lim) is None:
-                return failed(id_, anchor, n,
-                              detail=f"both candidates match at slot {slot}: engine bug")
-        return passed(id_, anchor, n)
+                return failed(n, detail=f"both candidates match at slot {slot}: engine bug")
+        return passed(n)
     if class_id == "3B":
         slot = QQ(0)
         target = _hpg_side_dlog("x", slot, ("-1/14", "11/42", "25/42"), ("4/7", "5/7"), n)
@@ -275,8 +271,8 @@ def verify_radical_candidate_separation(class_id: str, n: int = 10) -> Verificat
         okb, cb = outcomes["B"]
         oka, _ = outcomes["A"]
         if okb and not oka and cb == 3:
-            return passed(id_, anchor, n, detail="prefactor (1-3x) variant matches")
+            return passed(n, detail="prefactor (1-3x) variant matches")
         if okb and oka:
-            return failed(id_, anchor, n, detail="both families admit a prefactor: engine bug")
-        return failed(id_, anchor, n, detail=f"selection failed: {outcomes}")
+            return failed(n, detail="both families admit a prefactor: engine bug")
+        return failed(n, detail=f"selection failed: {outcomes}")
     raise KeyError(f"no candidate family {class_id!r}")

@@ -71,7 +71,7 @@ def test_rh_genus_cover_remarks():
 
 def test_belyi_certify_catalog():
     for name, make in sorted(P1_MAPS.items()):
-        assert belyi_certify(make(), id_=name).ok, name
+        assert belyi_certify(make()).ok, name
 
 
 def test_belyi_certify_square():

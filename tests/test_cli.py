@@ -76,6 +76,23 @@ def test_dump_zero_series_is_empty():
     assert dump_series("r4-xyz-zero.right", 10) == ""
 
 
+@pytest.mark.parametrize("name,order", [("j", -5), ("x:Phi3", -5), ("thm-3A-1.left", -9)])
+def test_dump_with_a_negative_order_is_a_usage_error(capsys, name, order):
+    assert main(["--dump", name, "--order", str(order)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_report_anchors_are_the_listed_anchors(capsys):
+    from darboux.catalog import check_anchor
+    assert main(["belyi", "--order", "12", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results) == 13
+    for r in results:
+        assert r["anchor"] == check_anchor(r["id"]), r
+
+
 def test_dump_spec_side_and_chart_entry():
     assert dump_series("thm-3A-1.right", 3).startswith("x^0: 1")
     assert dump_series("t7:u", 5) == "t^2: 1, t^4: 11"
@@ -92,10 +109,11 @@ def test_text_format_alignment():
 
 def test_failed_spec_nonzero_exit(capsys, monkeypatch):
     import darboux.catalog as cat
-    from darboux.verifier import IdentitySpec, Term, Pw
+    from darboux.verifier import IdentitySpec, Term, Pw, verify_identity
     bad = IdentitySpec("bogus-check", "synthetic failing identity", "x",
                        (Term(1, (Pw("x", 1),)),), (Term(1, (Pw("one_minus_x", 1),)),), 16)
-    monkeypatch.setitem(cat.IDENTITY_BY_ID, "bogus-check", bad)
+    monkeypatch.setitem(cat.CHECKS, "bogus-check",
+                        cat.Check(bad.id, bad.anchor, lambda order: verify_identity(bad, order)))
     code = main(["--spec", "bogus-check", "--order", "12"])
     out = capsys.readouterr().out
     assert code == 1

@@ -126,23 +126,23 @@ def test_norm_multiplicativity(a0, a1, b0, c0, c1, d0):
 
 @pytest.mark.parametrize("name,f,divisor", TABLE1, ids=[r[0] for r in TABLE1])
 def test_table1_divisors(name, f, divisor):
-    rep = verify_divisor(E7, f, divisor, id_=name)
+    rep = verify_divisor(E7, f, divisor)
     assert rep.ok, rep
 
 
 @pytest.mark.parametrize("name,f,divisor", TABLE2, ids=[r[0] for r in TABLE2])
 def test_table2_divisors(name, f, divisor):
-    rep = verify_divisor(E4, f, divisor, id_=name)
+    rep = verify_divisor(E4, f, divisor)
     assert rep.ok, rep
 
 
 def test_phi7_divisor():
-    rep = verify_divisor(E7, phi7(), PHI7_DIVISOR, id_="Phi7")
+    rep = verify_divisor(E7, phi7(), PHI7_DIVISOR)
     assert rep.ok, rep
 
 
 def test_phi4_divisor():
-    rep = verify_divisor(E4, phi4_on_e4(), PHI4_DIVISOR, id_="Phi4")
+    rep = verify_divisor(E4, phi4_on_e4(), PHI4_DIVISOR)
     assert rep.ok, rep
 
 
@@ -160,7 +160,7 @@ def test_divisor_cluster_branch_sensitivity():
     name, f, divisor = TABLE1[9]
     assert name == "G3"
     conj = f.conjugate()
-    assert not verify_divisor(E7, conj, divisor, id_="G3-conj").ok
+    assert not verify_divisor(E7, conj, divisor).ok
 
 
 def test_cluster_content_handles_norms():

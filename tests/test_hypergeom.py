@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from darboux.scalars import QQ, rat
 from darboux.series import PuiseuxSeries, first_mismatch
+from darboux import catalog
+from darboux.catalog import run_check
 from darboux.hypergeom import (
     CLASSES,
+    HpgClass,
     NonGenericError,
     companion_basis,
     contiguous_apply,
@@ -81,12 +84,21 @@ def test_residual_detects_non_solution():
 
 
 def test_catalog_classes_all_solve_their_equations():
-    for cls in CLASSES.values():
-        for p in (cls.representative,) + cls.members:
-            basis = companion_basis(p)
-            for sol in basis.all():
-                r = ode_residual(solution_series(sol, 8), p, at_infinity=sol.at_infinity)
-                assert r.is_zero(), (cls.label, p, sol)
+    rep = run_check("hpg-ode", 16)
+    assert rep.ok, rep
+
+
+def test_ode_check_names_a_wrong_member(monkeypatch):
+    """A member whose basis is that of a contiguous neighbour must fail."""
+    wrong = CLASSES["4A"].members[1]
+
+    def basis(p):
+        return companion_basis(p.shifted(dupper={0: 1}) if p == wrong else p)
+
+    monkeypatch.setattr(catalog, "companion_basis", basis)
+    rep = run_check("hpg-ode", 16)
+    assert rep.status == "fail"
+    assert rep.detail.startswith(f"4A {wrong}:"), rep.detail
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +215,17 @@ def test_identity_shift():
 # ---------------------------------------------------------------------------
 
 def test_interlacing_on_catalog_classes():
-    for cls in CLASSES.values():
-        assert interlacing_check(cls.representative), cls.label
-    assert interlacing_check(p3("-1/42", "13/42", "9/14", "4/7", "6/7"))
+    assert run_check("hpg-interlacing", 16).ok
+
+
+def test_interlacing_check_names_a_wrong_member(monkeypatch):
+    wrong = p3("1/2", "1/2", "1/2", "1/3", "2/3")
+    cls = CLASSES["7B"]
+    monkeypatch.setitem(CLASSES, "7B", HpgClass(cls.label, cls.representative,
+                                                cls.members + (wrong,)))
+    rep = run_check("hpg-interlacing", 16)
+    assert rep.status == "fail"
+    assert rep.detail == f"7B {wrong}: parameters do not interlace"
 
 
 def test_interlacing_false_for_non_algebraic_pick():

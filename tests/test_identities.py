@@ -31,7 +31,8 @@ def test_identity_passes_at_moderate_order(spec):
 def test_all_suite_ids_resolve():
     for suite, ids in SUITES.items():
         for cid in ids:
-            assert cid in IDENTITY_BY_ID or cid in CHECKS, (suite, cid)
+            assert cid in CHECKS, (suite, cid)
+    assert set(CHECKS) <= set(SUITES["all"]), set(CHECKS) - set(SUITES["all"])
 
 
 def test_every_identity_has_a_perturbable_slot():
@@ -190,7 +191,7 @@ def test_separation_unknown_family():
 # assorted non-series checks through the shared runner
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("cid", sorted(CHECKS))
+@pytest.mark.parametrize("cid", sorted(set(CHECKS) - set(IDENTITY_BY_ID)))
 def test_callable_checks_pass(cid):
     rep = run_check(cid, 16)
     assert rep.ok, rep

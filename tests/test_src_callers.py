@@ -13,11 +13,7 @@ ALLOWED = {
     "isogeny_point_image": "the isogeny's map on points, tested to land on the target curve",
     "map_coefficients": "PuiseuxSeries coefficient map, the Q(w) conjugation the Omega tests apply",
     "hpg_coefficient": "closed-form 3F2 coefficient; its catalog check is an open item",
-    "ode_residual": "3F2 ODE residual; its catalog check is an open item",
-    "companion_basis": "3F2 local solution basis; its catalog check is an open item",
-    "solution_series": "3F2 solution at an exponent; its catalog check is an open item",
     "contiguous_apply": "3F2 contiguity relation; its catalog check is an open item",
-    "interlacing_check": "3F2 parameter interlacing; its catalog check is an open item",
     "shifted": "HpgParams.shifted, the parameter shift the contiguity tests compare against",
     "exponent_slots": "negative-control API that criterion 13 and the benchmark call",
     "perturb": "negative-control API that criterion 13 and the benchmark call",
