@@ -3,13 +3,19 @@
 combined JSON report.
 
 Usage: python scripts/run_full_verification.py [report.json]
+
+The script imports ``darboux`` from the ``src/`` of its own checkout, so it
+runs without an install or ``PYTHONPATH``.
 """
 
 import json
+import os
 import sys
 import time
 
-from darboux.cli import run_suite
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from darboux.cli import run_suite  # noqa: E402
 
 SUITE_ORDERS = {
     "belyi": 64,

@@ -14,11 +14,12 @@ import os
 import sys
 import time
 import traceback
+from contextlib import nullcontext
 
 from . import __version__, catalog, modular
 from .report import ERROR, PASS, VerificationReport
 from .scalars import QQ
-from .verifier import chart_series
+from .verifier import chart_series, expand_terms
 
 CHART_VARS = {"x": "x", "s": "s", "xw": "x", "t7": "t", "t4": "t", "q": "q"}
 
@@ -71,7 +72,6 @@ def dump_series(name: str, order, fmt: str = "text") -> str:
 
 
 def _resolve_series(name: str, order):
-    from .verifier import expand_terms
     if "." in name:
         spec_id, side = name.rsplit(".", 1)
         if side not in ("left", "right") or spec_id not in catalog.IDENTITY_BY_ID:
@@ -143,24 +143,27 @@ def main(argv=None) -> int:
     if args.dump:
         try:
             print(dump_series(args.dump, args.order, args.format))
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, OverflowError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
         return 0
+    if not (args.spec or args.suite):
+        build_parser().print_usage()
+        return 2
     try:
-        if args.spec:
-            doc = run_single(args.spec, args.order)
-        elif args.suite:
-            doc = run_suite(args.suite, args.order)
-        else:
-            build_parser().print_usage()
-            return 2
-    except (KeyError, ValueError) as e:
+        # opened before any check runs, so that a bad path costs no run
+        out = open(args.output, "w") if args.output else nullcontext()
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+    with out:
+        try:
+            doc = run_single(args.spec, args.order) if args.spec else run_suite(args.suite, args.order)
+        except (KeyError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        if args.output:
+            json.dump(doc, out, indent=2, sort_keys=True)
     print(format_text(doc) if args.format == "text" else json.dumps(doc, indent=2, sort_keys=True))
     return 0 if doc["status"] == "pass" else 1
 

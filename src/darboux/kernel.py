@@ -1,8 +1,9 @@
-"""The exact integer product kernel under series and polynomial products.
+"""The exact integer product kernel under series and polynomial arithmetic.
 
 ``series.ps_mul``, the Newton inverse behind ``series.ps_div``, the Horner
 loop of ``series.ps_compose`` and ``polyalg.UniPoly.__mul__`` all multiply
-coefficient lists here.
+coefficient lists here; ``UniPoly.divmod`` and ``UniPoly.gcd`` divide them
+here, by a Newton inverse of the reversed divisor.
 """
 
 from __future__ import annotations
@@ -144,3 +145,26 @@ def _unit_inverse(x, n):
         y = _reduced(re, im, dy * de)
         m = m2
     return y
+
+
+def _kdivmod(a, b):
+    """Quotient and remainder of integer vectors a and b whose last slots are
+    nonzero, with len(a) >= len(b).
+
+    The quotient reversed is rev(a) / rev(b) to len(a) - len(b) + 1 terms
+    (Brent & Kung 1978); the remainder is a - q*b on the low len(b) - 1 slots,
+    its trailing zero slots cut.  Both carry a w part when a or b does.
+    """
+    (ar, ai, da), (br, bi, db) = a, b
+    k, m = len(ar) - len(br) + 1, len(br) - 1
+    inv = _unit_inverse((br[::-1], bi and bi[::-1], db), k)
+    qr, qi, dq = _kmul((ar[::-1], ai and ai[::-1], da), inv, k)
+    q = _reduced(qr[::-1], qi and qi[::-1], dq)
+    pr, pi, dp = _kmul(q, b, m) if m else ([], q[1] and [], 1)
+    re = [x * dp - y * da for x, y in zip(ar, pr)]
+    im = None if pi is None else [x * dp - y * da for x, y in zip(ai or [0] * m, pi)]
+    while re and not re[-1] and (im is None or not im[-1]):
+        re.pop()
+        if im is not None:
+            im.pop()
+    return q, (re, im, da * dp)

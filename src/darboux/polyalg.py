@@ -5,14 +5,16 @@ polynomials are dense ascending coefficient tuples; multivariate ones are
 sparse maps from exponent tuples.  Only what the verification needs is
 here: ring ops, division, gcd, squarefree splitting, resultants, series
 evaluation, and reduction modulo a single multivariate divisor.
+``UniPoly.__mul__``, ``divmod`` (and so ``%``, ``//`` and ``divexact``) and
+``gcd`` run on the integer vectors of ``darboux.kernel``.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import lcm
+from math import gcd, lcm
 
-from .kernel import _kmul, _scalars, _vec
+from .kernel import _kdivmod, _kmul, _scalars, _vec
 from .scalars import QQ, ZERO, ONE, power, scalar_inv
 from .series import PuiseuxSeries, ps_div, ps_mul
 
@@ -116,20 +118,10 @@ class UniPoly:
     def divmod(self, other: "UniPoly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        if len(self.coeffs) < len(other.coeffs):
             return UniPoly(), self
-        inv = scalar_inv(other.lc)
-        quot = [ZERO] * (dq + 1)
-        oc = other.coeffs
-        for k in range(dq, -1, -1):
-            c = rem[k + len(oc) - 1] * inv
-            quot[k] = c
-            if c:
-                for j, b in enumerate(oc):
-                    rem[k + j] = rem[k + j] - c * b
-        return UniPoly(quot), UniPoly(rem[: len(oc) - 1])
+        q, r = _kdivmod(_vec(self.coeffs), _vec(other.coeffs))
+        return UniPoly(_scalars(q)), UniPoly(_scalars(r))
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -149,12 +141,18 @@ class UniPoly:
         return self.scale(scalar_inv(self.lc))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-            if not b.is_zero():
-                b = b.monic()
-        return a.monic() if not a.is_zero() else a
+        """Monic gcd by Euclid on one integer vector of both operands, each
+        remainder cut to its primitive part (Knuth, TAOCP vol. 2, 4.6.1)."""
+        n = len(self.coeffs)
+        re, im, d = _vec(self.coeffs + other.coeffs)
+        a, b = (re[:n], im and im[:n], d), (re[n:], im and im[n:], d)
+        if len(a[0]) < len(b[0]):
+            a, b = b, a
+        while b[0]:
+            re, im, _ = _kdivmod(a, b)[1]
+            g = gcd(*re, *(im or ())) or 1
+            a, b = b, ([c // g for c in re], im and [c // g for c in im], 1)
+        return UniPoly(_scalars(a)).monic()
 
     # -- calculus / evaluation ---------------------------------------------
     def derivative(self) -> "UniPoly":

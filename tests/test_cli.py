@@ -1,6 +1,9 @@
 """CLI front end: suite runs, exit codes, report schema, series dumps."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -145,3 +148,42 @@ def test_raising_checks_are_errors_and_the_run_goes_on(capsys, monkeypatch):
     assert results["div-e7-u"]["detail"] == "KeyError: 'missing'"
     others = [r for cid, r in results.items() if cid not in ("bridge-1", "div-e7-u")]
     assert others and all(r["status"] == "pass" for r in others)
+
+
+def test_unwritable_output_is_a_usage_error_before_any_check(capsys, monkeypatch, tmp_path):
+    import darboux.catalog as cat
+    ran = []
+    monkeypatch.setattr(cat, "run_check", lambda cid, order: ran.append(cid))
+    path = tmp_path / "missing" / "x.json"
+    assert main(["belyi", "--order", "12", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
+
+
+def test_dump_with_a_huge_order_is_a_usage_error(capsys):
+    assert main(["--dump", "j", "--order", "100000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_full_verification_script_imports_without_pythonpath(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = os.path.join(root, "scripts", "run_full_verification.py")
+    code = ("import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('rfv', {script!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "import darboux\n"
+            "print(module.run_suite.__module__, darboux.__file__)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    module, path = proc.stdout.split()
+    assert module == "darboux.cli"
+    assert os.path.realpath(path) == os.path.realpath(os.path.join(root, "src", "darboux",
+                                                                   "__init__.py"))

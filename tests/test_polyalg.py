@@ -1,10 +1,17 @@
-"""Polynomial algebra tests with independent oracles."""
+"""Polynomial algebra tests with independent oracles.
+
+``ref_divmod`` and ``ref_gcd`` are the former coefficient loops of
+``UniPoly.divmod`` and ``UniPoly.gcd`` (long division and Euclid's algorithm
+on exact scalars); the kernel versions must give the same polynomials.
+"""
+
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from darboux.ellcurve import E7, CurveFunction
-from darboux.scalars import QQ, W, Omega, rat
+from darboux.scalars import QQ, ZERO, W, Omega, rat, scalar_inv
 from darboux.polyalg import (
     MultiPoly,
     RationalMap,
@@ -14,6 +21,40 @@ from darboux.polyalg import (
     resultant,
     squarefree_multiplicities,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+def ref_divmod(p, q):
+    """Quotient and remainder by long division of the coefficients."""
+    if q.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    dq = len(rem) - len(q.coeffs)
+    if dq < 0:
+        return UniPoly(), p
+    inv = scalar_inv(q.lc)
+    quot = [ZERO] * (dq + 1)
+    oc = q.coeffs
+    for k in range(dq, -1, -1):
+        c = rem[k + len(oc) - 1] * inv
+        quot[k] = c
+        if c:
+            for j, b in enumerate(oc):
+                rem[k + j] = rem[k + j] - c * b
+    return UniPoly(quot), UniPoly(rem[: len(oc) - 1])
+
+
+def ref_gcd(p, q):
+    """Monic gcd by Euclid's algorithm, each remainder made monic."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, ref_divmod(a, b)[1]
+        if not b.is_zero():
+            b = b.monic()
+    return a.monic() if not a.is_zero() else a
 
 
 def expand_product(factors):
@@ -89,6 +130,13 @@ def test_resultant_cluster_cubics_disjoint():
     assert resultant(m_u, m_v) != 0
 
 
+def test_resultant_sign_with_the_lower_degree_first():
+    # oracle: res(f, g) = lc(f)**deg(g) * g(1) for f = x - 1, and
+    # res(g, f) = (-1)**(deg f * deg g) * res(f, g)
+    assert resultant(poly(-1, 1), poly(-2, 0, 0, 1)) == -1
+    assert resultant(poly(-2, 0, 0, 1), poly(-1, 1)) == 1
+
+
 @settings(max_examples=250, deadline=None)
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
 def test_resultant_detects_common_factor(a, b, c, d):
@@ -139,6 +187,125 @@ def test_divmod_roundtrip():
     quo, rem = p.divmod(q)
     assert quo * q + rem == p
     assert rem.degree < q.degree
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=7).map(QQ)
+big = st.builds(lambda sign, n, d: QQ(sign * ((1 << 600) + n), d),
+                st.sampled_from((1, -1)), st.integers(min_value=0, max_value=1 << 100),
+                st.integers(min_value=1, max_value=1 << 70))
+omega = st.builds(Omega, small, small)
+scalar = {
+    "rational": st.one_of(small, st.just(ZERO)),
+    "omega": st.one_of(omega, st.just(ZERO)),
+    "mixed": st.one_of(small, omega, st.just(ZERO)),
+}
+kinds = st.sampled_from(("rational", "omega", "mixed"))
+
+
+def polys(kind, max_terms=9):
+    return st.lists(scalar[kind], max_size=max_terms).map(UniPoly)
+
+
+def factors(kind, max_terms=3):
+    """A polynomial of degree at least 1."""
+    return st.tuples(st.lists(scalar[kind], min_size=1, max_size=max_terms),
+                     scalar[kind].filter(bool)).map(lambda t: UniPoly(t[0] + [t[1]]))
+
+
+def assert_omega_exactly(results, *operands):
+    """Nonzero coefficients are Omega exactly when an operand holds an Omega."""
+    omega = any(isinstance(c, Omega) for p in operands for c in p.coeffs)
+    for r in results:
+        for c in r.coeffs:
+            if c:
+                assert isinstance(c, Omega) == omega
+
+
+def assert_divmod(p, q):
+    got, want = p.divmod(q), ref_divmod(p, q)
+    assert (got[0].coeffs, got[1].coeffs) == (want[0].coeffs, want[1].coeffs)
+    if p.degree < q.degree:
+        assert got[0].is_zero() and got[1] is p
+    else:
+        assert_omega_exactly(got, p, q)
+        assert all(c or c is ZERO for r in got for c in r.coeffs)
+
+
+def assert_gcd(p, q):
+    got = p.gcd(q)
+    assert got.coeffs == ref_gcd(p, q).coeffs
+    assert_omega_exactly([got], p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_divmod_matches_long_division(data, ka, kb):
+    p = data.draw(polys(ka, 14))
+    assert_divmod(p, data.draw(polys(kb).filter(bool)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), kinds)
+def test_divmod_by_constants_and_zero(data, kind):
+    p = data.draw(polys(kind).filter(bool))
+    c = UniPoly([data.draw(scalar[kind].filter(bool))])
+    zero = UniPoly()
+    for a, b in ((p, c), (c, p), (c, c), (zero, p), (zero, c)):
+        assert_divmod(a, b)
+    for a in (p, c, zero):
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), kinds, kinds, kinds)
+def test_gcd_matches_euclid(data, ka, kb, kc):
+    a, b = data.draw(polys(ka, 6)), data.draw(polys(kb, 6))
+    c = data.draw(factors(kc))
+    assert_gcd(a, b)
+    assert_gcd(a * c, b * c)
+    if a or b:
+        assert (a * c).gcd(b * c).degree >= c.degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), kinds)
+def test_gcd_of_constants_and_zero(data, kind):
+    p = data.draw(polys(kind))
+    c = UniPoly([data.draw(scalar[kind].filter(bool))])
+    zero = UniPoly()
+    for a, b in ((p, c), (c, p), (p, zero), (zero, p), (c, zero), (zero, zero), (p, p)):
+        assert_gcd(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(big, min_size=1, max_size=8), st.lists(big, min_size=1, max_size=8),
+       st.lists(big, min_size=2, max_size=4))
+def test_divmod_and_gcd_with_wide_numerators(xs, ys, zs):
+    """Every coefficient has a numerator over 600 bits."""
+    p, q, c = UniPoly(xs), UniPoly(ys), UniPoly(zs)
+    assert_divmod(p, q)
+    assert_divmod(q, p)
+    assert_divmod(p * c, c)
+    assert_gcd(p, q)
+    assert_gcd(p * c, q * c)
+
+
+def test_gcd_keeps_remainders_primitive(monkeypatch):
+    """Each remainder after the first division is a primitive integer vector
+    over the denominator 1, so coefficients grow with the degree, not
+    exponentially with the number of steps."""
+    import darboux.polyalg as polyalg_module
+    calls = []
+    real = polyalg_module._kdivmod
+    monkeypatch.setattr(polyalg_module, "_kdivmod", lambda a, b: calls.append(b) or real(a, b))
+    c = poly(QQ(3, 7), 5, QQ(-2, 9), 1)
+    a = c * poly(*(QQ(k * k - 11, k + 2) for k in range(14)))
+    b = c * poly(*(QQ(3 * k - 19, 2 * k + 5) for k in range(11)))
+    assert a.gcd(b) == c.monic()
+    assert len(calls) > 5
+    for re, im, d in calls[1:]:
+        assert d == 1 and gcd(*re, *(im or ())) == 1
 
 
 def test_rational_map_reduction_and_eval():

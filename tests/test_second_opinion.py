@@ -1,0 +1,72 @@
+"""Polynomial division, gcd, resultants and squarefree splitting against sympy.
+
+sympy is an independent implementation of the same exact algebra over Q;
+the module is skipped where it is not installed.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from darboux.polyalg import UniPoly, resultant, squarefree_multiplicities  # noqa: E402
+from darboux.scalars import QQ  # noqa: E402
+
+X = sympy.Symbol("x")
+
+coeff = st.fractions(min_value=-20, max_value=20, max_denominator=9).map(QQ)
+polys = st.lists(coeff, max_size=8).map(UniPoly)
+nonzero = polys.filter(bool)
+
+
+def to_sympy(p):
+    """The sympy polynomial over QQ with the coefficients of p."""
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly.from_list(cs, X, domain=sympy.QQ)
+
+
+def from_sympy(f):
+    return UniPoly([QQ(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())])
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, nonzero)
+def test_divmod_matches_sympy_div(p, q):
+    want_q, want_r = sympy.div(to_sympy(p), to_sympy(q))
+    assert p.divmod(q) == (from_sympy(want_q), from_sympy(want_r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, nonzero)
+def test_gcd_matches_sympy_gcd(a, b, c):
+    p, q = a * c, b * c
+    want = to_sympy(p).gcd(to_sympy(q))
+    if not want.is_zero:
+        want = want.monic()
+    assert p.gcd(q) == from_sympy(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero, nonzero)
+def test_resultant_matches_sympy(p, q):
+    # res(p, q) = (-1)**(deg p * deg q) * res(q, p).  sympy 1.14 gets the sign
+    # of res(p, q) wrong for some deg p < deg q (for x - 1 and x**3 - 2 it
+    # gives 1, its own Sylvester determinant -1), so it is asked with the
+    # higher degree first.
+    if p.degree < q.degree:
+        want = (-1) ** (p.degree * q.degree) * to_sympy(q).resultant(to_sympy(p))
+    else:
+        want = to_sympy(p).resultant(to_sympy(q))
+    assert resultant(p, q) == QQ(int(want.p), int(want.q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(nonzero, st.integers(min_value=1, max_value=3)), min_size=1,
+                max_size=3))
+def test_squarefree_split_matches_sympy_sqf_list(parts):
+    p = UniPoly([QQ(1)])
+    for f, m in parts:
+        p = p * f ** m
+    _, want = to_sympy(p).sqf_list()
+    want = sorted((from_sympy(f.monic()).coeffs, m) for f, m in want)
+    assert sorted((f.coeffs, m) for f, m in squarefree_multiplicities(p)) == want
