@@ -18,8 +18,12 @@ from contextlib import nullcontext
 
 from . import __version__, catalog, modular
 from .report import ERROR, PASS, VerificationReport
-from .scalars import QQ
+from .scalars import BACKEND, QQ
 from .verifier import chart_series, expand_terms
+
+# far above the 128 of the heaviest documented runs; series sizes, q-product
+# factor lists and run times all grow with the order
+ORDER_CEILING = 1024
 
 CHART_VARS = {"x": "x", "s": "s", "xw": "x", "t7": "t", "t4": "t", "q": "q"}
 
@@ -44,15 +48,18 @@ def _run_checks(label: str, ids, order: int) -> dict:
     t0 = time.monotonic()
     results = []
     for cid in ids:
+        t = time.monotonic()
         try:
             rep = catalog.run_check(cid, order)
         except Exception as e:
             traceback.print_exc(file=sys.stderr)
             rep = VerificationReport(ERROR, detail=f"{type(e).__name__}: {e}")
-        results.append({"id": cid, "anchor": catalog.check_anchor(cid), **rep.as_dict()})
+        results.append({"id": cid, "anchor": catalog.check_anchor(cid), **rep.as_dict(),
+                        "duration_ms": int((time.monotonic() - t) * 1000)})
     ok = all(r["status"] == PASS for r in results)
     return {
         "version": __version__,
+        "backend": BACKEND,
         "suite": label,
         "order": order,
         "results": results,
@@ -122,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", metavar="NAME",
                    help="print a catalog series (name, chart:name, or spec-id.left/right)")
     p.add_argument("--order", type=int,
-                   help="truncation order (default 64; env DARBOUX_ORDER)")
+                   help=f"truncation order, at most {ORDER_CEILING} (default 64; env DARBOUX_ORDER)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", metavar="FILE", help="also write the JSON report to a file")
     return p
@@ -137,13 +144,19 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"error: DARBOUX_ORDER must be an integer, got {raw!r}", file=sys.stderr)
             return 2
+    if args.order > ORDER_CEILING:
+        print(f"error: order must be at most {ORDER_CEILING}, got {args.order}", file=sys.stderr)
+        return 2
     if args.list:
         print(list_checks())
         return 0
     if args.dump:
+        if args.order < 1:
+            print(f"error: --dump order must be at least 1, got {args.order}", file=sys.stderr)
+            return 2
         try:
             print(dump_series(args.dump, args.order, args.format))
-        except (KeyError, ValueError, OverflowError) as e:
+        except (KeyError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
         return 0

@@ -2,8 +2,9 @@
 
 ``series.ps_mul``, the Newton inverse behind ``series.ps_div``, the Horner
 loop of ``series.ps_compose`` and ``polyalg.UniPoly.__mul__`` all multiply
-coefficient lists here; ``UniPoly.divmod`` and ``UniPoly.gcd`` divide them
-here, by a Newton inverse of the reversed divisor.
+coefficient lists here; ``series.ps_pow`` raises them to rational powers
+here, by a fraction-free recurrence; ``UniPoly.divmod`` and ``UniPoly.gcd``
+divide them here, by a Newton inverse of the reversed divisor.
 """
 
 from __future__ import annotations
@@ -145,6 +146,55 @@ def _unit_inverse(x, n):
         y = _reduced(re, im, dy * de)
         m = m2
     return y
+
+
+def _kpow(x, p, q, n):
+    """First n coefficients, as scalars, of x**(p/q) for an integer vector x
+    whose slot 0 is 1 (x[0] == d), with q > 0.
+
+    The Miller recurrence k*y_k = sum_j ((r+1)*j - k) * u_j * y_(k-j), r = p/q,
+    run fraction-free on the support sublattice of x: with u_j = U_j/d it
+    keeps Y_k = y_k * k! * (q*d)**k, so that
+    Y_k = sum_j ((p+q)*j - q*k) * U_j * (q*d)**(j-1) * (k-1)!/(k-j)! * Y_(k-j)
+    in integers (Z[w] products when x has a w part).  Each y_k becomes a
+    scalar once, at the end (Knuth, TAOCP vol. 2, section 4.7).
+    """
+    xr, xi, d = x
+    s = gcd(*[i for i in range(1, n) if xr[i] or (xi is not None and xi[i])]) or 1
+    ur = xr[:n:s]
+    ui = [0] * len(ur) if xi is None else xi[:n:s]
+    qd = q * d
+    # (j, U_j * (q*d)**(j-1)) for the nonzero slots j >= 1, re and im parts
+    terms = [(j, ur[j] * qd ** (j - 1), ui[j] * qd ** (j - 1))
+             for j in range(1, len(ur)) if ur[j] or ui[j]]
+    yr, yi = [1], [0]
+    for k in range(1, len(ur)):
+        sr = si = 0
+        ff, at = 1, 1                  # ff = (k-1)!/(k-at)!
+        for j, pr, pi in terms:
+            if j > k:
+                break
+            while at < j:
+                ff *= k - at
+                at += 1
+            c = ((p + q) * j - q * k) * ff
+            ar, ai = yr[k - j], yi[k - j]
+            if xi is None:
+                sr += c * pr * ar
+            elif ar or ai:
+                # (pr + pi*w)(ar + ai*w) with w*w = -1 - w, in three products
+                t0, t1 = pr * ar, pi * ai
+                sr += c * (t0 - t1)
+                si += c * ((pr + pi) * (ar + ai) - t0 - 2 * t1)
+        yr.append(sr)
+        yi.append(si)
+    out, den = [ZERO] * n, 1
+    for k, (re, im) in enumerate(zip(yr, yi)):
+        if k:
+            den *= k * qd
+        if re or im:
+            out[k * s] = QQ(re, den) if xi is None else Omega(QQ(re, den), QQ(im, den))
+    return out
 
 
 def _kdivmod(a, b):

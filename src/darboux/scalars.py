@@ -15,8 +15,10 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as QQ
+    BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover - gmpy2 is present in normal installs
     QQ = Fraction
+    BACKEND = "fractions"
 
 ZERO = QQ(0)
 ONE = QQ(1)

@@ -11,15 +11,15 @@ Canonical form: coeffs[0] != 0, except for the zero series which carries
 an empty tuple and lead == order.
 
 Every product of coefficient lists (``ps_mul``, the Newton inverse behind
-``ps_div`` and the Horner loop of ``ps_compose``) runs on the exact integer
-kernel in ``darboux.kernel``.
+``ps_div`` and the Horner loop of ``ps_compose``) and every power
+(``ps_pow``) runs on the exact integer kernel in ``darboux.kernel``.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .kernel import _kmul, _reduced, _scalars, _unit_inverse, _vec
+from .kernel import _kmul, _kpow, _reduced, _scalars, _unit_inverse, _vec
 from .scalars import QQ, ZERO, ONE, scalar_inv
 
 __all__ = [
@@ -285,7 +285,9 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
     """a**r for rational r.
 
     The unit part of a must have constant coefficient exactly 1; scalar
-    radical prefactors are the caller's problem by design.
+    radical prefactors are the caller's problem by design.  The unit part
+    is raised on the integer kernel (``kernel._kpow``), one recurrence for
+    every exponent, and spread onto the grid of the new lead.
     """
     r = QQ(r)
     if a.is_zero():
@@ -299,19 +301,10 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
     new_lead = a.lead_exponent * r
     g = lcm(a.grid, int(new_lead.denominator))
     rel = a.order - a.lead
-    u = a.coeffs
-    out = [ONE] + [ZERO] * (rel - 1)
-    for k in range(1, rel):
-        s = ZERO
-        for j in range(1, min(k, len(u) - 1) + 1):
-            if u[j] and out[k - j]:
-                s = s + ((r + 1) * j - k) * u[j] * out[k - j]
-        out[k] = s / k
     lead = int(new_lead.numerator) * (g // int(new_lead.denominator))
     f = g // a.grid
     coeffs = [ZERO] * (rel * f)
-    for i, c in enumerate(out):
-        coeffs[i * f] = c
+    coeffs[::f] = _kpow(_vec(a.coeffs), int(r.numerator), int(r.denominator), rel)
     return PuiseuxSeries.make(g, lead, coeffs, lead + rel * f)
 
 

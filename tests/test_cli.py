@@ -2,17 +2,22 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from darboux.cli import dump_series, format_text, main, run_suite
+from darboux.cli import ORDER_CEILING, dump_series, format_text, main, run_suite
+from darboux.scalars import QQ
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_run_suite_document_shape():
     doc = run_suite("klein-invariants", 16)
-    assert set(doc) == {"version", "suite", "order", "results", "duration_ms", "status"}
+    assert set(doc) == {"version", "backend", "suite", "order", "results", "duration_ms",
+                        "status"}
     assert doc["status"] == "pass"
     ids = [r["id"] for r in doc["results"]]
     assert ids == sorted(ids)
@@ -170,9 +175,49 @@ def test_dump_with_a_huge_order_is_a_usage_error(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _limit_address_space():
+    limit = 1536 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["--dump", "x7", "--order", "100000000000000000000"], str(ORDER_CEILING)),
+    (["--spec", "h7-x7", "--order", "100000000000000000000"], str(ORDER_CEILING)),
+    (["all", "--order", str(ORDER_CEILING + 1)], str(ORDER_CEILING)),
+    (["--list", "--order", str(ORDER_CEILING + 1)], str(ORDER_CEILING)),
+    (["--dump", "x7", "--order", "-3"], "at least 1"),
+    (["--dump", "x7", "--order", "0"], "at least 1"),
+])
+def test_out_of_range_orders_are_usage_errors(argv, bound):
+    """Run under a 1.5 GB address-space limit, so that an order that gets
+    through to the series code fails fast instead of taking the memory."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "darboux", *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert bound in proc.stderr
+
+
+def test_order_at_the_ceiling_is_accepted(capsys):
+    assert main(["--dump", "j", "--order", str(ORDER_CEILING)]) == 0
+    assert capsys.readouterr().out.startswith("q^-1: 1, q^0: 744")
+
+
+def test_json_report_names_backend_and_durations(capsys):
+    assert main(["klein-invariants", "--order", "16", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["backend"] == ("fractions" if QQ.__module__ == "fractions" else "gmpy2")
+    assert doc["results"]
+    for r in doc["results"]:
+        assert isinstance(r["duration_ms"], int) and r["duration_ms"] >= 0
+    assert sum(r["duration_ms"] for r in doc["results"]) <= doc["duration_ms"]
+
+
 def test_full_verification_script_imports_without_pythonpath(tmp_path):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = os.path.join(root, "scripts", "run_full_verification.py")
+    script = os.path.join(ROOT, "scripts", "run_full_verification.py")
     code = ("import importlib.util\n"
             f"spec = importlib.util.spec_from_file_location('rfv', {script!r})\n"
             "module = importlib.util.module_from_spec(spec)\n"
@@ -185,5 +230,5 @@ def test_full_verification_script_imports_without_pythonpath(tmp_path):
     assert proc.returncode == 0, proc.stderr
     module, path = proc.stdout.split()
     assert module == "darboux.cli"
-    assert os.path.realpath(path) == os.path.realpath(os.path.join(root, "src", "darboux",
+    assert os.path.realpath(path) == os.path.realpath(os.path.join(ROOT, "src", "darboux",
                                                                    "__init__.py"))

@@ -3,13 +3,14 @@
 The reference functions below are the former implementations of ps_mul
 (a direct convolution of rationals), of the unit inverse behind ps_div (the
 linear recurrence), of ps_compose (Horner with every step kept to the
-full bound) and of UniPoly.__mul__ (the schoolbook convolution).  The
-kernel must reproduce their results exactly: the same grid, lead, order
-and coefficients, or the same polynomial.
+full bound), of ps_pow (the Miller recurrence over every grid slot) and of
+UniPoly.__mul__ (the schoolbook convolution).  The kernel must reproduce
+their results exactly: the same grid, lead, order and coefficients, or the
+same polynomial.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,7 @@ import darboux.kernel as kernel_module
 from darboux.kernel import _kmul, _pack, _unpack, _vec
 from darboux.polyalg import UniPoly
 from darboux.scalars import QQ, ZERO, ONE, Omega, scalar_inv
-from darboux.series import PuiseuxSeries, ps_compose, ps_div, ps_mul
+from darboux.series import PuiseuxSeries, ps_compose, ps_div, ps_mul, ps_pow
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,30 @@ def ref_compose(a, b):
             if k > a.lead:
                 p = ref_mul(p, binv).truncate(bound)
     return acc.truncate(bound)
+
+
+def ref_pow(a, r):
+    """a**r, for a with unit coefficient 1, by the Miller recurrence
+    k*y_k = sum_j ((r+1)*j - k) * u_j * y_(k-j) on every grid slot, in
+    rationals."""
+    r = QQ(r)
+    new_lead = a.lead_exponent * r
+    g = lcm(a.grid, int(new_lead.denominator))
+    rel = a.order - a.lead
+    u = a.coeffs
+    out = [ONE] + [ZERO] * (rel - 1)
+    for k in range(1, rel):
+        s = ZERO
+        for j in range(1, min(k, len(u) - 1) + 1):
+            if u[j] and out[k - j]:
+                s = s + ((r + 1) * j - k) * u[j] * out[k - j]
+        out[k] = s / k
+    lead = int(new_lead.numerator) * (g // int(new_lead.denominator))
+    f = g // a.grid
+    coeffs = [ZERO] * (rel * f)
+    for i, c in enumerate(out):
+        coeffs[i * f] = c
+    return PuiseuxSeries.make(g, lead, coeffs, lead + rel * f)
 
 
 def ref_poly_mul(p, q):
@@ -249,6 +274,62 @@ def test_compose_skips_steps_beyond_the_bound():
     a = PuiseuxSeries.make(1, 0, [QQ(k + 1, k + 2) for k in range(40)], 40)
     b = PuiseuxSeries.make(1, 3, [QQ(1), QQ(-2), QQ(1, 3), QQ(5)], 7)
     assert_same(ps_compose(a, b), ref_compose(a, b))
+
+
+# ---------------------------------------------------------------------------
+# powers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def unit_series(draw, kind, stride, values=None, max_terms=10):
+    """A series with unit coefficient 1 (Omega(1) on some Q(w) bases) whose
+    nonzero offsets are multiples of `stride`, on grid stride or 2*stride."""
+    values = scalar[kind] if values is None else values
+    grid = stride * draw(st.sampled_from((1, 2)))
+    lead = draw(st.integers(min_value=-2, max_value=3)) * stride
+    terms = draw(st.integers(min_value=1, max_value=max_terms))
+    coeffs = [ZERO] * (terms * stride)
+    for i in range(1, terms):
+        coeffs[i * stride] = draw(values)
+    one = {"rational": (ONE,), "omega": (Omega(1),), "mixed": (ONE, Omega(1))}[kind]
+    coeffs[0] = draw(st.sampled_from(one))
+    cut = draw(st.integers(min_value=0, max_value=stride - 1))
+    coeffs = coeffs[:len(coeffs) - cut] or coeffs[:1]
+    return PuiseuxSeries.make(grid, lead, coeffs, lead + len(coeffs))
+
+
+def fraction_with_denominator(q):
+    return st.integers(min_value=-150, max_value=150).filter(lambda p: gcd(p, q) == 1) \
+        .map(lambda p: QQ(p, q))
+
+
+exponents = st.one_of(
+    st.sampled_from((0, 1, -1, 2, -2, 7, -3)).map(QQ),
+    st.sampled_from((2, 6, 7, 14, 42, 84)).flatmap(fraction_with_denominator))
+strides = st.sampled_from((1, 2, 7, 24, 42))
+
+
+def assert_pow(a, r):
+    got = ps_pow(a, r)
+    assert_same(got, ref_pow(a, r))
+    if r == 1:
+        assert got is a
+    else:
+        assert_types(got, a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), kinds, strides, exponents)
+def test_pow_matches_recurrence(data, kind, stride, r):
+    assert_pow(data.draw(unit_series(kind, stride)), r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(("rational", "omega")), strides, exponents)
+def test_pow_with_wide_numerators(data, kind, stride, r):
+    """Every coefficient past the unit has a numerator over 600 bits."""
+    values = big if kind == "rational" else st.builds(Omega, big, big)
+    assert_pow(data.draw(unit_series(kind, stride, values, max_terms=6)), r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Polynomial division, gcd, resultants and squarefree splitting against sympy.
+"""Polynomial division, gcd, resultants and squarefree splitting, and series
+products, quotients and powers, against sympy.
 
 sympy is an independent implementation of the same exact algebra over Q;
 the module is skipped where it is not installed.
@@ -9,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.polys.ring_series import rs_mul, rs_pow, rs_series_inversion  # noqa: E402
+
 from darboux.polyalg import UniPoly, resultant, squarefree_multiplicities  # noqa: E402
 from darboux.scalars import QQ  # noqa: E402
+from darboux.series import PuiseuxSeries, ps_div, ps_mul, ps_pow  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -70,3 +74,68 @@ def test_squarefree_split_matches_sympy_sqf_list(parts):
     _, want = to_sympy(p).sqf_list()
     want = sorted((from_sympy(f.monic()).coeffs, m) for f, m in want)
     assert sorted((f.coeffs, m) for f, m in squarefree_multiplicities(p)) == want
+
+
+# ---------------------------------------------------------------------------
+# series on the integer grid, against sympy.polys.ring_series
+# ---------------------------------------------------------------------------
+
+RING, T = sympy.polys.rings.ring("t", sympy.QQ)
+
+
+def to_ring(a):
+    """The polynomial in RING with the known coefficients of a (lead >= 0)."""
+    return sum((sympy.Rational(c.numerator, c.denominator) * T ** int(e) for e, c in a.terms()),
+               RING(0))
+
+
+def coefficients(f, n):
+    """The first n coefficients of a ring element, as QQ."""
+    terms = dict(f.items())
+    return [QQ(int(c.numerator), int(c.denominator))
+            for c in (terms.get((k,), 0) for k in range(n))]
+
+
+@st.composite
+def series(draw, unit=False):
+    """A series on grid 1 with lead >= 0; coefficient 0 is 1 when unit."""
+    cs = draw(st.lists(coeff, min_size=1, max_size=10))
+    if unit:
+        cs[0] = QQ(1)
+    return PuiseuxSeries.make(1, 0, cs, len(cs))
+
+
+def known(a, n):
+    return [a.coefficient(k) for k in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(series(), series())
+def test_ps_mul_matches_sympy_rs_mul(a, b):
+    got = ps_mul(a, b)
+    assert known(got, got.order) == coefficients(rs_mul(to_ring(a), to_ring(b), T, got.order),
+                                                 got.order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series(), series().filter(lambda b: b.lead == 0))
+def test_ps_div_matches_sympy_rs_series_inversion(a, b):
+    got = ps_div(a, b)
+    n = got.order
+    want = rs_mul(to_ring(a), rs_series_inversion(to_ring(b), T, n), T, n)
+    assert known(got, n) == coefficients(want, n)
+
+
+exponent = st.one_of(
+    st.integers(min_value=-4, max_value=7),
+    st.builds(lambda p, q: sympy.Rational(p, q), st.integers(min_value=-90, max_value=90),
+              st.sampled_from((2, 6, 7, 14, 42, 84))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(series(unit=True), exponent)
+def test_ps_pow_matches_sympy_rs_pow(a, r):
+    n = a.order
+    got = ps_pow(a, QQ(int(sympy.numer(r)), int(sympy.denom(r))))
+    assert (got.grid, got.lead, got.order) == (1, 0, n)
+    assert known(got, n) == coefficients(rs_pow(to_ring(a), r, T, n), n)

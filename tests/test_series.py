@@ -164,6 +164,10 @@ def test_pow_rejects_non_unit_constant():
         ps_pow(S([(0, 2), (1, 1)], 6), rat(1, 2))
     with pytest.raises(PowBaseError):
         ps_pow(S([(1, -1)], 6), rat(1, 2))
+    with pytest.raises(PowBaseError):
+        ps_pow(S([(0, Omega(1, 1)), (1, 1)], 6), 2)
+    with pytest.raises(PowBaseError):
+        ps_pow(PuiseuxSeries.zero(4), rat(1, 2))
 
 
 # ---------------------------------------------------------------------------
