@@ -50,7 +50,7 @@ from .ellcurve import (
     AffinePoint,
 )
 from .hypergeom import CLASSES, companion_basis, interlacing_check, ode_residual, solution_series
-from .polyalg import RationalMap, UniPoly, poly
+from .polyalg import RationalMap, poly
 from .report import failed, passed
 from .scalars import QQ, ONE, Omega, W, rat
 from .series import PuiseuxSeries
@@ -64,17 +64,19 @@ q = rat
 # charts
 # ---------------------------------------------------------------------------
 
-def _mono(n):
-    return PuiseuxSeries.monomial(QQ(1), n)
+def _mono(n, sign=ONE):
+    return PuiseuxSeries.monomial(QQ(1), n, sign)
 
 
-def _poly_entry(*coeffs):
+def _poly_entry(*coeffs, sign=ONE):
+    """Builder of p(sign*x) for the polynomial p with these coefficients."""
     p = poly(*coeffs)
-    return lambda n: p.eval_series(_mono(n))
+    return lambda n: p.eval_series(_mono(n, sign))
 
 
-def _map_entry(make_map):
-    return lambda n: make_map().eval_series(_mono(n + 4)).truncate(n)
+def _map_entry(make_map, sign=ONE):
+    """Builder of phi(sign*x), from sign*x known below x^(n+4)."""
+    return lambda n: make_map().eval_series(_mono(n + 4, sign)).truncate(n)
 
 
 def _x_chart():
@@ -120,47 +122,27 @@ def _x_chart():
 
 def _s_chart():
     """The negated chart x = -s; names keep their x-meaning."""
-    neg = UniPoly([QQ(0), QQ(-1)])
-
-    def at_neg(p: UniPoly):
-        comp = p(neg)
-        return lambda n: comp.eval_series(_mono(n))
-
-    def phi3_neg(n):
-        r = Phi3_map()
-        return RationalMap(r.num(neg), r.den(neg)).eval_series(_mono(n + 4)).truncate(n)
-
+    phi3 = _map_entry(Phi3_map, -ONE)
     return {
         "s": _mono,
-        "one_minus_x": at_neg(poly(1, -1)),
-        "F1": at_neg(poly(1, 5, -8, 1)),
-        "Phi3": phi3_neg,
-        "Phi3_over_1728": lambda n: phi3_neg(n).scale(q(1, 1728)),
+        "one_minus_x": _poly_entry(1, -1, sign=-ONE),
+        "F1": _poly_entry(1, 5, -8, 1, sign=-ONE),
+        "Phi3": phi3,
+        "Phi3_over_1728": lambda n: phi3(n).scale(q(1, 1728)),
     }
 
 
-def _omega(a, b=0):
-    return Omega(QQ(a), QQ(b))
-
-
 def _xw_chart():
+    one = Omega(1)
     f2, g2 = phi3_star_parts()
-
-    def lin(c):
-        p = UniPoly([_omega(1), c])
-        return lambda n: p.eval_series(_mono(n))
-
-    def star(n):
-        return phi3_star().eval_series(_mono(n + 4)).truncate(n)
-
     return {
         "x": _mono,
-        "one_minus_x": lin(_omega(-1)),
-        "one_minus_wx": lin(-W),
-        "one_minus_w2x": lin(-W.conjugate()),
-        "F2": lambda n: f2.eval_series(_mono(n)),
-        "G2": lambda n: g2.eval_series(_mono(n)),
-        "Phi3_star": star,
+        "one_minus_x": _poly_entry(one, -one),
+        "one_minus_wx": _poly_entry(one, -W),
+        "one_minus_w2x": _poly_entry(one, -W.conjugate()),
+        "F2": _poly_entry(*f2.coeffs),
+        "G2": _poly_entry(*g2.coeffs),
+        "Phi3_star": _map_entry(phi3_star),
     }
 
 
@@ -201,17 +183,11 @@ def _t4_chart():
     return _curve_chart(E4, fns)
 
 
-def _q_chart():
-    return {name: (lambda n, name=name: modular.qseries(name, int(n) if QQ(n).denominator == 1 else int(n) + 1))
-            for name in modular.catalog_names()}
-
-
 register_chart("x", _x_chart())
 register_chart("s", _s_chart())
 register_chart("xw", _xw_chart())
 register_chart("t7", _t7_chart())
 register_chart("t4", _t4_chart())
-register_chart("q", _q_chart())
 
 
 # ---------------------------------------------------------------------------

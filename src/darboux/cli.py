@@ -16,7 +16,7 @@ import time
 import traceback
 from contextlib import nullcontext
 
-from . import __version__, catalog, modular
+from . import __version__, catalog
 from .report import ERROR, PASS, VerificationReport
 from .scalars import BACKEND, QQ
 from .verifier import chart_series, expand_terms
@@ -85,11 +85,11 @@ def _resolve_series(name: str, order):
             raise KeyError(f"cannot resolve {name!r}")
         spec = catalog.IDENTITY_BY_ID[spec_id]
         terms = spec.left if side == "left" else spec.right
-        return expand_terms(terms, spec.chart, QQ(order) + 4), CHART_VARS[spec.chart]
+        return expand_terms(terms, spec.chart, order + 4), CHART_VARS[spec.chart]
     if ":" in name:
         chart, entry = name.split(":", 1)
-        return chart_series(chart, entry, QQ(order) + 2), CHART_VARS[chart]
-    return modular.qseries(name, int(order) + 1), "q"
+        return chart_series(chart, entry, order + 2), CHART_VARS[chart]
+    return chart_series("q", name, order + 1), "q"
 
 
 def list_checks() -> str:

@@ -324,19 +324,16 @@ def _expand_at_point(curve: Curve, pt, n: int):
     if v0 == 0:
         if u0 != 0:
             raise UnsupportedPointError("only the rational 2-torsion at the origin is charted")
-        # u = t^2 / c(u): fixed-point iteration gains two orders per pass
+        # u = t^2 / c(u): fixed-point iteration from t^2 gains two orders per pass
         t2 = PuiseuxSeries.monomial(QQ(2), n + 2)
-        u = PuiseuxSeries.zero(n + 2)
+        u = t2
         for _ in range(n // 2 + 2):
             u = ps_div(t2, curve.c.eval_series(u).truncate(n))
         v = PuiseuxSeries.monomial(QQ(1), n)
         return u.truncate(n), v
     # generic point, t = u - u0
-    t = PuiseuxSeries.monomial(QQ(1), n)
-    useries = t + PuiseuxSeries.const(u0, n)
-    g = curve.rhs
-    gu = g(UniPoly([u0, ONE]))                   # g(u0 + t)
-    unit = gu.eval_series(t).scale(1 / (v0 * v0))
+    useries = PuiseuxSeries.monomial(QQ(1), n) + PuiseuxSeries.const(u0, n)
+    unit = curve.rhs.eval_series(useries).scale(1 / (v0 * v0))
     vseries = ps_pow(unit, rat(1, 2)).scale(v0)
     return useries, vseries
 

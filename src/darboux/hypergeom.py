@@ -9,6 +9,7 @@ dihedral transformation checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .scalars import QQ, ONE
 from .series import PuiseuxSeries
@@ -98,37 +99,23 @@ def ode_residual(solution: PuiseuxSeries, p: HpgParams, at_infinity: bool = Fals
     """Apply the hypergeometric operator; zero (to the provable order) iff
     the series solves the equation.
 
-    In the chart at infinity the solution is a series in w = 1/z and the
-    operator is rewritten accordingly.
+    At 0 the operator is (theta + a1)(theta + a2)(theta + a3) minus
+    d/dz (theta + b1 - 1)(theta + b2 - 1), theta = z d/dz.  In the chart at
+    infinity the solution is a series in w = 1/z, where theta = -w d/dw.
+    With s = 1 at 0 and s = -1 at infinity, a term c*x^e sends
+    c * prod(s*e + a_i) to x^e and -s * c * e * prod(s*e + b_j - 1) to
+    x^(e - s); the sum runs over the nonzero terms only, and is known below
+    N - 1 at 0 and below N at infinity.
     """
     if len(p.upper) != 3:
         raise ValueError("the differential operator is implemented for 3F2")
-    a1, a2, a3 = p.upper
-    b1, b2 = p.lower
-
-    if not at_infinity:
-        y = solution
-        left = _apply_delta_chain(y, (a1, a2, a3))
-        right = _apply_delta_chain(y, (b1 - 1, b2 - 1)).derivative()
-        return left - right
-    # chart w = 1/z: z d/dz = -w d/dw and d/dz = -w^2 d/dw
-    y = solution
-
-    def mdelta(s, shift):
-        return s.scale(shift) - s.zderivative()
-
-    left = mdelta(mdelta(mdelta(y, a3), a2), a1)
-    inner = mdelta(mdelta(y, b2 - 1), b1 - 1)
-    w2 = PuiseuxSeries.monomial(QQ(2), inner.order_exponent + 2, ONE)
-    right = (inner.derivative() * w2).scale(-ONE)
-    return left - right
-
-
-def _apply_delta_chain(y: PuiseuxSeries, shifts) -> PuiseuxSeries:
-    out = y
-    for s in reversed(tuple(shifts)):
-        out = out.zderivative() + out.scale(s)
-    return out
+    s = -1 if at_infinity else 1
+    below = solution.order_exponent - (1 if s > 0 else 0)
+    pairs = []
+    for e, c in solution.terms():
+        pairs.append((e, c * prod(s * e + a for a in p.upper)))
+        pairs.append((e - s, -s * c * e * prod(s * e + b - 1 for b in p.lower)))
+    return PuiseuxSeries.from_pairs([t for t in pairs if t[0] < below], below, solution.grid)
 
 
 def m_matrix(p: HpgParams):

@@ -1,8 +1,9 @@
 """The exact integer product kernel under series and polynomial arithmetic.
 
-``series.ps_mul``, the Newton inverse behind ``series.ps_div``, the Horner
-loop of ``series.ps_compose`` and ``polyalg.UniPoly.__mul__`` all multiply
-coefficient lists here; ``series.ps_pow`` raises them to rational powers
+``series.ps_mul``, the Newton inverse behind ``series.ps_div``,
+``series._horner`` (the one evaluator of a coefficient list at a series,
+behind ``ps_compose`` and ``UniPoly.eval_series``) and
+``polyalg.UniPoly.__mul__`` all multiply coefficient lists here; ``series.ps_pow`` raises them to rational powers
 here, by a fraction-free recurrence; ``UniPoly.divmod`` and ``UniPoly.gcd``
 divide them here, by a Newton inverse of the reversed divisor.
 """

@@ -5,9 +5,10 @@ quotients, Eisenstein series and j, the Hauptmoduln of the small levels,
 the Klein-curve forms and their level-7 friends, Rogers-Ramanujan and
 Selberg-type sums, theta sums, and the quintuple-product specializations.
 
-Series are built on demand and memoized per (name, exact order) in the
-verifier's series memo, under the chart name "q"; builders fetch the series
-they depend on through ``qseries`` too, so each (name, order) is built once.
+The builders are registered as the verifier's chart "q", so each series is
+built on demand and memoized per (name, exact order) like every chart entry;
+builders fetch the series they depend on through ``qseries`` (that is,
+``chart_series("q", ...)``) too, so each (name, order) is built once.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from .polyalg import MultiPoly, poly
 from .report import VerificationReport, failed, passed
 from .scalars import QQ, ZERO, ONE, rat
 from .series import PuiseuxSeries, ps_div, ps_mul, ps_pow
-from .verifier import memo
+from .verifier import chart_series, register_chart
 
 __all__ = [
     "qseries",
-    "catalog_names",
     "eta_quotient",
     "klein_R4",
     "klein_R6",
@@ -355,18 +355,12 @@ def _klein_poly_series(n, mp: MultiPoly):
     return mp.eval_series(values).truncate(n)
 
 
-_BUILDERS = _builders()
-
-
-def catalog_names():
-    return sorted(_BUILDERS)
+register_chart("q", _builders())
 
 
 def qseries(name: str, n: int) -> PuiseuxSeries:
     """Exact q-expansion of a catalog entry, known below exponent n."""
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown q-series {name!r}")
-    return memo(("q", name, n), lambda: _BUILDERS[name](n))
+    return chart_series("q", name, n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from .kernel import _kdivmod, _kmul, _scalars, _vec
 from .scalars import QQ, ZERO, ONE, power, scalar_inv
-from .series import PuiseuxSeries, ps_div, ps_mul
+from .series import PuiseuxSeries, _horner, ps_div, ps_mul
 
 __all__ = [
     "UniPoly",
@@ -165,13 +165,21 @@ class UniPoly:
         return out
 
     def eval_series(self, s: PuiseuxSeries) -> PuiseuxSeries:
-        """Horner evaluation at a series with positive valuation or at a unit."""
-        out = PuiseuxSeries.zero(s.order_exponent, s.grid)
-        for c in reversed(self.coeffs):
-            out = ps_mul(out, s)
-            if c:
-                out = out + PuiseuxSeries.const(c, out.order_exponent, out.grid)
-        return out
+        """The polynomial at a nonzero series s, by ``series._horner``.
+
+        The window is N(s) + (e-1)*v(s), with e the lowest power >= 1
+        present when v(s) > 0 and the degree otherwise: the coefficients of
+        s that are known reach that far.  A constant is known |v(s)| beyond
+        N(s), the zero polynomial to N(s).
+        """
+        if not self.coeffs:
+            return PuiseuxSeries.zero(s.order_exponent, s.grid)
+        v = s.lead
+        if v > 0:
+            e = next((k for k, c in enumerate(self.coeffs) if k and c), 2)
+        else:
+            e = self.degree
+        return _horner(self.coeffs, s, s.order + (e - 1) * v)
 
 
 def _as_poly(x) -> UniPoly:

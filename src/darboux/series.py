@@ -11,8 +11,10 @@ Canonical form: coeffs[0] != 0, except for the zero series which carries
 an empty tuple and lead == order.
 
 Every product of coefficient lists (``ps_mul``, the Newton inverse behind
-``ps_div`` and the Horner loop of ``ps_compose``) and every power
-(``ps_pow``) runs on the exact integer kernel in ``darboux.kernel``.
+``ps_div`` and ``_horner``) and every power (``ps_pow``) runs on the exact
+integer kernel in ``darboux.kernel``.  ``_horner`` is the one evaluator of
+a coefficient list at a series: ``ps_compose`` and
+``polyalg.UniPoly.eval_series`` both go through it.
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ class PuiseuxSeries:
         return PuiseuxSeries.make(grid, lead, [coeff] + [ZERO] * (n - lead - 1), n)
 
     @staticmethod
-    def from_pairs(pairs, order_exp) -> "PuiseuxSeries":
-        """Series from (exponent, coefficient) pairs, known below order_exp."""
+    def from_pairs(pairs, order_exp, grid: int = 1) -> "PuiseuxSeries":
+        """Series from (exponent, coefficient) pairs, known below order_exp,
+        on a multiple of the given grid."""
         pairs = [(QQ(e), c) for e, c in pairs]
-        grid = 1
         for e, _ in pairs:
             grid = lcm(grid, int(e.denominator))
         n = _exp_to_grid_floorplus(order_exp, grid)
@@ -308,46 +310,57 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
     return PuiseuxSeries.make(g, lead, coeffs, lead + rel * f)
 
 
-def _horner(a: PuiseuxSeries, b: PuiseuxSeries, stop: int) -> PuiseuxSeries:
-    """sum of a_k b^k over k >= 0, exact below grid index stop of b's grid.
+def _horner(c, b: PuiseuxSeries, stop: int) -> PuiseuxSeries:
+    """sum of c[k] b^k for a coefficient list c and a nonzero series b of
+    any valuation v, exact below grid index stop of b's grid.
 
-    After step k the accumulator still gets multiplied by b k more times,
-    which lifts it by k*v(b); so it is kept only below stop - k*v(b), and
-    the steps with k*v(b) >= stop are skipped.  The coefficients of b it
-    uses are known: a term a_j b^(j-k-1) of the accumulator with j >= 1
-    starts at (j-k-1)*v(b), and the bound on stop in ps_compose covers it.
+    Every evaluation of a coefficient list at a series runs here.  The
+    integer accumulator is anchored at grid index base = min(0, top*v),
+    below every partial sum.  After step k it still gets multiplied by b k
+    more times, which shifts it by k*v; so it is kept only below
+    stop - k*v, and when v > 0 the steps with k*v >= stop are skipped.
+    The caller keeps stop where the known coefficients of b reach: below
+    N(b) + (e-1)*v, with e the lowest power >= 1 present when v > 0 and the
+    top power otherwise.
     """
-    vb = b.lead
+    v, top = b.lead, len(c) - 1
+    base = min(0, top * v)
+    steps = range(min(top, (stop - 1) // v) if v > 0 else top, -1, -1)
+    if stop <= base or not steps:
+        return PuiseuxSeries(b.grid, stop, (), stop)
     bvec = _vec(b.coeffs)
     re, im, d = [], None, 1
-    for k in range(min(a.order - 1, (stop - 1) // vb), -1, -1):
-        cut = stop - k * vb
+    for k in steps:
+        cut = stop - k * v - base
         if any(re) or (im is not None and any(im)):
-            re, im, d = _kmul((re, im, d), bvec, cut - vb)
-            re = [0] * vb + re
-            im = None if im is None else [0] * vb + im
+            # the product starts at base + v: lift it by v, or drop -v slots
+            re, im, d = _kmul((re, im, d), bvec, cut - v)
+            re = [0] * v + re if v > 0 else re[-v:]
+            im = None if im is None else ([0] * v + im if v > 0 else im[-v:])
         else:
             re, im = [0] * cut, None if im is None else [0] * cut
-        idx = k - a.lead
-        c = a.coeffs[idx] if 0 <= idx < len(a.coeffs) else ZERO
-        if c:
-            cr, ci, cd = _vec([c])
+        if c[k] and -base < cut:
+            cr, ci, cd = _vec([c[k]])
             dn = lcm(d, cd)
             if dn != d:
-                re = [v * (dn // d) for v in re]
-                im = None if im is None else [v * (dn // d) for v in im]
+                re = [x * (dn // d) for x in re]
+                im = None if im is None else [x * (dn // d) for x in im]
             if ci is not None and im is None:
                 im = [0] * cut
-            re[0] += cr[0] * (dn // cd)
+            re[-base] += cr[0] * (dn // cd)
             if ci is not None:
-                im[0] += ci[0] * (dn // cd)
+                im[-base] += ci[0] * (dn // cd)
             d = dn
         re, im, d = _reduced(re, im, d)
-    return PuiseuxSeries.make(b.grid, 0, _scalars((re, im, d)), stop)
+    return PuiseuxSeries.make(b.grid, base, _scalars((re, im, d)), stop)
 
 
 def ps_compose(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    """a(b) for an integer-grid a and positive-valuation b."""
+    """a(b) for an integer-grid a and positive-valuation b.
+
+    The part of a at exponents >= 0 is a polynomial in b, the part below 0
+    a polynomial in 1/b of valuation -v(b); both run through _horner.
+    """
     if a.grid != 1:
         raise ValuationError("composition requires an integer exponent grid on the outer series")
     if b.is_zero() or b.lead <= 0:
@@ -359,24 +372,18 @@ def ps_compose(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     if support:
         e0 = min(support)
         bound = min(bound, nb + (e0 - 1) * vb)
-    if a.is_zero():
-        return PuiseuxSeries.zero(bound, b.grid)
-    acc = PuiseuxSeries.zero(bound, b.grid)
-    # nonnegative exponents: Horner from the top, unless they all land
-    # beyond the bound (a negative lead of a can pull it to 0 or below)
     stop = _exp_to_grid_floorplus(bound, b.grid)
-    if a.order > 0 and stop > 0:
-        acc = _horner(a, b, stop)
+
+    def at(k):
+        return a.coeffs[k - a.lead] if 0 <= k - a.lead < len(a.coeffs) else ZERO
+
+    acc = _horner([at(k) for k in range(a.order)], b, stop)
     if a.lead < 0:
+        # 1/b is known below N(b) - 2v(b): its window N(b) - (1 - a.lead)v(b)
+        # is the bound's second term
         binv = ps_div(PuiseuxSeries.const(ONE, nb - vb, b.grid), b)
-        p = binv
-        for k in range(-1, a.lead - 1, -1):
-            c = a.coeffs[k - a.lead] if 0 <= k - a.lead < len(a.coeffs) else ZERO
-            if c:
-                acc = acc + p.scale(c)
-            if k > a.lead:
-                p = ps_mul(p, binv).truncate(bound)
-    return acc.truncate(bound)
+        acc = acc + _horner([at(-k) if k else ZERO for k in range(1 - a.lead)], binv, stop)
+    return acc
 
 
 def first_mismatch(a: PuiseuxSeries, b: PuiseuxSeries, below=None):

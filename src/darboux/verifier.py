@@ -96,11 +96,11 @@ def register_chart(name: str, builders: dict):
     _CHARTS[name] = builders
 
 
-def chart_series(chart: str, name: str, n) -> PuiseuxSeries:
+def chart_series(chart: str, name: str, n: int) -> PuiseuxSeries:
+    """The named series of a chart, known below exponent n (a whole number)."""
     builders = _CHARTS[chart]
     if name not in builders:
         raise KeyError(f"no series {name!r} in chart {chart!r}")
-    n = QQ(n)
     return memo((chart, name, n), lambda: builders[name](n))
 
 

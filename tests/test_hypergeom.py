@@ -2,7 +2,7 @@
 companion bases against the printed parameter matrices, contiguity."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from darboux.scalars import QQ, rat
 from darboux.series import PuiseuxSeries, first_mismatch
@@ -81,6 +81,79 @@ def test_residual_detects_non_solution():
     p = p3("1/5", "1/3", "1/2", "3/7", "5/7")
     bad = PuiseuxSeries.from_pairs([(QQ(0), QQ(1)), (QQ(1), QQ(1))], 8)
     assert not ode_residual(bad, p).is_zero()
+
+
+def ref_ode_residual(y, p, at_infinity=False):
+    """The former residual: delta chains of zderivative and scale over every
+    grid slot, then a derivative (times -w^2 at infinity)."""
+    a1, a2, a3 = p.upper
+    b1, b2 = p.lower
+    if not at_infinity:
+        def chain(out, shifts):
+            for s in reversed(shifts):
+                out = out.zderivative() + out.scale(s)
+            return out
+        return chain(y, (a1, a2, a3)) - chain(y, (b1 - 1, b2 - 1)).derivative()
+
+    def mdelta(s, shift):
+        return s.scale(shift) - s.zderivative()
+
+    left = mdelta(mdelta(mdelta(y, a3), a2), a1)
+    inner = mdelta(mdelta(y, b2 - 1), b1 - 1)
+    w2 = PuiseuxSeries.monomial(QQ(2), inner.order_exponent + 2, QQ(1))
+    return left - (inner.derivative() * w2).scale(QQ(-1))
+
+
+def assert_same_series(got, want):
+    assert (got.grid, got.lead, got.order) == (want.grid, want.lead, want.order)
+    assert list(got.coeffs) == list(want.coeffs)
+
+
+def _catalog_solutions():
+    for cls in CLASSES.values():
+        for p in (cls.representative,) + cls.members:
+            for sol in companion_basis(p).all():
+                yield p, sol
+
+
+def test_residual_matches_delta_chains_on_catalog_solutions():
+    # every local solution the hpg-ode check runs, and four perturbations of
+    # each: one coefficient changed, one dropped, the window cut, the
+    # exponent shifted by 1/42
+    for p, sol in _catalog_solutions():
+        y = solution_series(sol, 6)
+        bumped = list(y.coeffs)
+        bumped[-1] += 1
+        ys = [y,
+              PuiseuxSeries.make(y.grid, y.lead, bumped, y.order),
+              PuiseuxSeries.make(y.grid, y.lead, [0] + list(y.coeffs[1:]), y.order),
+              y.truncate(y.order_exponent - 2),
+              y * PuiseuxSeries.monomial(QQ(1, 42), QQ(1, 42) + y.order_exponent)]
+        for z in ys:
+            want = ref_ode_residual(z, p, sol.at_infinity)
+            assert_same_series(ode_residual(z, p, sol.at_infinity), want)
+        assert ode_residual(y, p, sol.at_infinity).is_zero()
+
+
+coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=6).map(QQ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient.filter(bool), st.lists(coefficient, max_size=8),
+       st.sampled_from((1, 2, 14, 42)), st.integers(-3 * 42, 3 * 42), st.booleans())
+def test_residual_matches_delta_chains_on_any_series(c0, cs, grid, lead, at_infinity):
+    # at infinity the former window stopped short of N when the lead was
+    # below -1; the values agree below it, and the new window is not lower
+    p = p3("-1/42", "13/42", "9/14", "4/7", "6/7")
+    lead = lead * grid // 42
+    y = PuiseuxSeries.make(grid, lead, [c0] + cs, lead + 1 + len(cs))
+    assume(y.order > 0 or not at_infinity)     # where the former code raised
+    want = ref_ode_residual(y, p, at_infinity)
+    got = ode_residual(y, p, at_infinity)
+    assert first_mismatch(got, want) is None
+    assert got.order_exponent >= want.order_exponent
+    if y.lead_exponent >= -1:
+        assert_same_series(got, want)
 
 
 def test_catalog_classes_all_solve_their_equations():

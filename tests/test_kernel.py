@@ -3,22 +3,25 @@
 The reference functions below are the former implementations of ps_mul
 (a direct convolution of rationals), of the unit inverse behind ps_div (the
 linear recurrence), of ps_compose (Horner with every step kept to the
-full bound), of ps_pow (the Miller recurrence over every grid slot) and of
-UniPoly.__mul__ (the schoolbook convolution).  The kernel must reproduce
-their results exactly: the same grid, lead, order and coefficients, or the
-same polynomial.
+full bound, and powers of 1/b below exponent 0), of UniPoly.eval_series
+(Horner with a series product and an added constant per step), of ps_pow
+(the Miller recurrence over every grid slot) and of UniPoly.__mul__ (the
+schoolbook convolution).  The kernel must reproduce their results exactly:
+the same grid, lead, order and coefficients, or the same polynomial.  The
+one exception is a polynomial at an argument of negative valuation, whose
+window may only be higher.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import darboux.kernel as kernel_module
 from darboux.kernel import _kmul, _pack, _unpack, _vec
 from darboux.polyalg import UniPoly
 from darboux.scalars import QQ, ZERO, ONE, Omega, scalar_inv
-from darboux.series import PuiseuxSeries, ps_compose, ps_div, ps_mul, ps_pow
+from darboux.series import PuiseuxSeries, first_mismatch, ps_compose, ps_div, ps_mul, ps_pow
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +102,17 @@ def ref_compose(a, b):
             if k > a.lead:
                 p = ref_mul(p, binv).truncate(bound)
     return acc.truncate(bound)
+
+
+def ref_eval_series(p, s):
+    """p(s) by Horner with a series product and an added constant at every
+    step; it raises ValueError where a constant's window falls to 0 or below."""
+    out = PuiseuxSeries.zero(s.order_exponent, s.grid)
+    for c in reversed(p.coeffs):
+        out = ref_mul(out, s)
+        if c:
+            out = out + PuiseuxSeries.const(c, out.order_exponent, out.grid)
+    return out
 
 
 def ref_pow(a, r):
@@ -274,6 +288,58 @@ def test_compose_skips_steps_beyond_the_bound():
     a = PuiseuxSeries.make(1, 0, [QQ(k + 1, k + 2) for k in range(40)], 40)
     b = PuiseuxSeries.make(1, 3, [QQ(1), QQ(-2), QQ(1, 3), QQ(5)], 7)
     assert_same(ps_compose(a, b), ref_compose(a, b))
+
+
+# ---------------------------------------------------------------------------
+# polynomials at a series
+# ---------------------------------------------------------------------------
+
+@st.composite
+def eval_args(draw, kp, ks):
+    """A polynomial of degree 0-8 and a nonzero argument with lead -3..3 in
+    units of its support step, on grid 1, 2, 7 or 42."""
+    coeffs = draw(st.lists(scalar[kp], min_size=0, max_size=8))
+    p = UniPoly(coeffs + [draw(scalar[kp].filter(bool))])
+    grid = draw(st.sampled_from((1, 2, 7, 42)))
+    step = draw(st.sampled_from((1, grid)))
+    lead = draw(st.integers(min_value=-3, max_value=3)) * step
+    return p, draw(series(ks, step, lead=lead, grid=grid, max_terms=8))
+
+
+def assert_eval(p, s):
+    """Values as the Horner loop gives them; the same window when v(s) >= 0
+    and a window never lower when v(s) < 0."""
+    got = p.eval_series(s)
+    try:
+        want = ref_eval_series(p, s)
+    except ValueError:
+        assert s.lead < 0
+        assume(False)
+    assert got.grid == want.grid
+    assert first_mismatch(got, want) is None
+    if s.lead >= 0:
+        assert_same(got, want)
+    else:
+        assert got.order >= want.order
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_eval_series_matches_horner_loop(data, kp, ks):
+    assert_eval(*data.draw(eval_args(kp, ks)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), kinds, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 2, 7, 42)))
+def test_eval_series_of_sparse_polynomials(data, kind, lead, grid):
+    """Gaps below the top and above the constant move the window when
+    v(s) > 0 (its lowest power e >= 1 present) and when v(s) < 0 (its
+    degree)."""
+    p = data.draw(polys(kind, max_terms=4).filter(lambda p: 0 <= p.degree <= 8))
+    s = data.draw(series(kind, 1, lead=lead, grid=grid, max_terms=8))
+    assert_eval(p, s)
+    assert_eval(UniPoly([p.coeffs[-1]]), s)
+    assert_eval(UniPoly(), s)
 
 
 # ---------------------------------------------------------------------------
