@@ -60,10 +60,6 @@ class BranchingPattern:
     def is_consistent(self) -> bool:
         return sum(self.over0) == sum(self.over1) == sum(self.overinf)
 
-    def passport(self):
-        """Fibers as a multiset (partition order forgotten)."""
-        return tuple(sorted(self.fibers(), reverse=True))
-
     def __repr__(self):
         def part(f):
             return "".join(f"{m}" for m in f)
@@ -209,23 +205,19 @@ def mobius_mu() -> RationalMap:
 @dataclass(frozen=True)
 class CoveringCatalogEntry:
     name: str
-    kind: str                     # "p1" or "curve"
     expected_pattern: BranchingPattern
     expected_genus: int
 
 
 COVERINGS = {
-    "phi2": CoveringCatalogEntry("phi2", "p1", pattern([1, 2], [2, 1], [3]), 0),
-    "phi3": CoveringCatalogEntry("phi3", "p1", pattern([1, 3], [2, 2], [3, 1]), 0),
-    "phi4": CoveringCatalogEntry("phi4", "p1", pattern([1, 4, 1], [2, 2, 2], [3, 3]), 0),
-    "phi5": CoveringCatalogEntry("phi5", "p1",
-                                 pattern([1, 5, 5, 1], [2] * 6, [3, 3, 3, 3]), 0),
-    "Phi3": CoveringCatalogEntry("Phi3", "p1",
-                                 pattern([7, 7, 7, 1, 1, 1], [2] * 12, [3] * 8), 0),
-    "Phi7": CoveringCatalogEntry("Phi7", "curve",
-                                 pattern([7, 7, 7, 1, 1, 1], [2] * 12, [7, 7, 7, 1, 1, 1]), 1),
-    "Phi4": CoveringCatalogEntry("Phi4", "curve",
-                                 pattern([7, 7, 7, 1, 1, 1], [2] * 12, [4] * 6), 1),
+    "phi2": CoveringCatalogEntry("phi2", pattern([1, 2], [2, 1], [3]), 0),
+    "phi3": CoveringCatalogEntry("phi3", pattern([1, 3], [2, 2], [3, 1]), 0),
+    "phi4": CoveringCatalogEntry("phi4", pattern([1, 4, 1], [2, 2, 2], [3, 3]), 0),
+    "phi5": CoveringCatalogEntry("phi5", pattern([1, 5, 5, 1], [2] * 6, [3, 3, 3, 3]), 0),
+    "Phi3": CoveringCatalogEntry("Phi3", pattern([7, 7, 7, 1, 1, 1], [2] * 12, [3] * 8), 0),
+    "Phi7": CoveringCatalogEntry("Phi7", pattern([7, 7, 7, 1, 1, 1], [2] * 12,
+                                                 [7, 7, 7, 1, 1, 1]), 1),
+    "Phi4": CoveringCatalogEntry("Phi4", pattern([7, 7, 7, 1, 1, 1], [2] * 12, [4] * 6), 1),
 }
 
 P1_MAPS = {

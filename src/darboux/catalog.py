@@ -49,11 +49,21 @@ from .ellcurve import (
     verify_divisor,
     AffinePoint,
 )
-from .hypergeom import CLASSES, companion_basis, interlacing_check, ode_residual, solution_series
+from .hypergeom import (
+    CLASSES,
+    companion_basis,
+    galois_conjugates,
+    hpg_coefficient,
+    hpg_series,
+    interlacing_check,
+    ode_residual,
+    shift_down,
+    solution_series,
+)
 from .polyalg import RationalMap, poly
-from .report import failed, passed
+from .report import Mismatch, failed, passed
 from .scalars import QQ, ONE, Omega, W, rat
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, first_mismatch
 from .verifier import Hpg, IdentitySpec, Pw, Term, register_chart, verify_identity
 from .verifier import verify_radical_candidate_separation
 
@@ -198,8 +208,8 @@ def T(*factors, w=1):
     return Term(w, tuple(factors))
 
 
-def ident(id_, anchor, chart, left, right, order=64, min_order=8):
-    return IdentitySpec(id_, anchor, chart, tuple(left), tuple(right), order, min_order)
+def ident(id_, anchor, chart, left, right):
+    return IdentitySpec(id_, anchor, chart, tuple(left), tuple(right))
 
 
 def _hpg3(u1, u2, u3, l1, l2, arg):
@@ -295,22 +305,19 @@ _add(ident("thm-omega-1", "first conjugate-sum evaluation over Q(w)",
            "xw",
            [T(_p("F2", q(1, 6)),
               _hpg3(*_OMEGA_TRIPLES[1][1], "Phi3_star"))],
-           _omega_rhs(_OMEGA_TRIPLES[1][0], _OMEGA_TRIPLES[1][2]),
-           order=48))
+           _omega_rhs(_OMEGA_TRIPLES[1][0], _OMEGA_TRIPLES[1][2])))
 _add(ident("thm-omega-2", "second conjugate-sum evaluation over Q(w)",
            "xw",
            [T(_p("x"), _p("G2"), _p("F2", q(-13, 6)),
               _hpg3(*_OMEGA_TRIPLES[2][1], "Phi3_star"),
               w=(1 - 2 * W).inverse())],
-           _omega_rhs(_OMEGA_TRIPLES[2][0], _OMEGA_TRIPLES[2][2]),
-           order=48))
+           _omega_rhs(_OMEGA_TRIPLES[2][0], _OMEGA_TRIPLES[2][2])))
 _add(ident("thm-omega-3", "third conjugate-sum evaluation over Q(w)",
            "xw",
            [T(_p("x", 2), _p("G2", 2), _p("F2", q(-9, 2)),
               _hpg3(*_OMEGA_TRIPLES[3][1], "Phi3_star"),
               w=(Omega(21) + 7 * W).inverse() * 3)],
-           _omega_rhs(_OMEGA_TRIPLES[3][0], _OMEGA_TRIPLES[3][2]),
-           order=48))
+           _omega_rhs(_OMEGA_TRIPLES[3][0], _OMEGA_TRIPLES[3][2])))
 
 # -- genus 1, first curve -----------------------------------------------------
 
@@ -449,48 +456,39 @@ _add(ident("r4-xyz-zero", "the parametrizing forms satisfy the quartic relation"
            "q",
            [T(_p("X_neg", 3), _p("Y"), w=-1), T(_p("Y", 3), _p("Z")),
             T(_p("Z", 3), _p("X_neg"), w=-1)],
-           [],
-           order=50))
+           []))
 _add(ident("x-xyz-1", "the level-7 Hauptmodul as a form quotient",
            "q",
            [T(_p("neg_x7"))],
-           [T(_p("X_neg", 2), _p("Y"), _p("Z", -3))],
-           order=50))
+           [T(_p("X_neg", 2), _p("Y"), _p("Z", -3))]))
 _add(ident("x-xyz-2", "the complementary form quotient",
            "q",
            [T(_p("one_minus_x7"))],
-           [T(_p("Y", 3), _p("X_neg", -1), _p("Z", -2))],
-           order=50))
+           [T(_p("Y", 3), _p("X_neg", -1), _p("Z", -2))]))
 _add(ident("h7-x7", "level-7 Hauptmodul relation",
            "q",
            [T(_p("h7"), _p("neg_x7"), _p("one_minus_x7"))],
-           [T(_p("F1_of_x7"))],
-           order=50))
+           [T(_p("F1_of_x7"))]))
 _add(ident("F1-substitution", "the cubic factor through the Hauptmodul pair",
            "q",
            [T(_p("F1_of_x7"))],
-           [T(_p("neg_x7"), _p("one_minus_x7"), _p("h7"))],
-           order=50))
+           [T(_p("neg_x7"), _p("one_minus_x7"), _p("h7"))]))
 _add(ident("j-h7", "j as a rational function of the level-7 Hauptmodul",
            "q",
            [T(_p("j"), _p("h7", 7))],
-           [T(_p("j_h7_num"))],
-           order=50))
+           [T(_p("j_h7_num"))]))
 _add(ident("j-phi3-x7", "j through the degree-24 covering at the Hauptmodul",
            "q",
            [T(_p("j"), _p("Phi3_of_x7_over_1728"))],
-           [T()],
-           order=50))
+           [T()]))
 _add(ident("h7-R6", "the Hauptmodul as invariant over squared forms",
            "q",
            [T(_p("h7"), _p("X2Y2Z2"))],
-           [T(_p("R6_XYZ"))],
-           order=50))
+           [T(_p("R6_XYZ"))]))
 _add(ident("klein-quotient-q", "the degree-7 cyclic quotient as q-series",
            "q",
            [T(_p("Y", 7), _p("Z", -7), w=-1)],
-           [T(_p("neg_x7"), _p("one_minus_x7", 2), w=-1)],
-           order=40))
+           [T(_p("neg_x7"), _p("one_minus_x7", 2), w=-1)]))
 
 for kk, (jexp, up) in enumerate((
         (q(1, 42), ("-1/42", "13/42", "9/14", "4/7", "6/7")),
@@ -499,177 +497,150 @@ for kk, (jexp, up) in enumerate((
     _add(ident(f"K{kk}-product", f"level-7 product evaluation K{kk}",
                "q",
                [T(_p("j", jexp), _hpg3(*up, "x1728_over_j"))],
-               [T(_p(f"K{kk}"))],
-               order=50))
+               [T(_p(f"K{kk}"))]))
 
 _add(ident("k1-sum", "alternating sum form of the first level-7 product",
            "q",
-           [T(_p("K1"))], [T(_p("k1_sum_form"))], order=60))
+           [T(_p("K1"))], [T(_p("k1_sum_form"))]))
 _add(ident("k3-sum", "alternating sum form of the third level-7 product",
            "q",
-           [T(_p("K3"))], [T(_p("k3_sum_form"))], order=60))
+           [T(_p("K3"))], [T(_p("k3_sum_form"))]))
 _add(ident("kratio-32", "first theta quotient of the level-7 products",
            "q",
            [T(_p("K3"), _p("kden_32"))],
-           [T(_p("q", q(2, 7)), _p("theta7"), _p("K2"))],
-           order=60))
+           [T(_p("q", q(2, 7)), _p("theta7"), _p("K2"))]))
 _add(ident("kratio-21", "second theta quotient of the level-7 products",
            "q",
            [T(_p("K2"), _p("kden_21"))],
-           [T(_p("q", q(1, 7)), _p("theta7"), _p("K1"))],
-           order=60))
+           [T(_p("q", q(1, 7)), _p("theta7"), _p("K1"))]))
 _add(ident("kratio-13", "third theta quotient of the level-7 products",
            "q",
            [T(_p("K1"), _p("kden_13"))],
-           [T(_p("q", q(-3, 7)), _p("theta7"), _p("K3"))],
-           order=60))
+           [T(_p("q", q(-3, 7)), _p("theta7"), _p("K3"))]))
 _add(ident("theta-numerator", "the common theta numerator as a product",
            "q",
-           [T(_p("theta7"))], [T(_p("eta7_prod"))], order=60))
+           [T(_p("theta7"))], [T(_p("eta7_prod"))]))
 for kk in (1, 2, 3):
     _add(ident(f"quintuple-y{kk}", f"quintuple-product specialization {kk}",
                "q",
                [T(_p(f"quintuple_lhs_y{kk}"))],
-               [T(_p(f"quintuple_rhs_y{kk}"))],
-               order=60))
+               [T(_p(f"quintuple_rhs_y{kk}"))]))
 
 # -- modular: level 5 chain ----------------------------------------------------
 
 _add(ident("h5-x5", "level-5 Hauptmodul relation",
            "q",
            [T(_p("h5"))],
-           [T(_p("x5", -1)), T(w=-11), T(_p("x5"), w=-1)],
-           order=60))
+           [T(_p("x5", -1)), T(w=-11), T(_p("x5"), w=-1)]))
 _add(ident("j-phi5-x5", "j through the degree-12 covering at the Hauptmodul",
            "q",
            [T(_p("j"), _p("phi5_of_x5_over_1728"))],
-           [T()],
-           order=60))
+           [T()]))
 _add(ident("x5-h5-substitution", "the quadratic factor through the Hauptmodul pair",
            "q",
            [T(_p("one_minus_11x5_x5sq"))],
-           [T(_p("x5"), _p("h5"))],
-           order=60))
+           [T(_p("x5"), _p("h5"))]))
 for kk, (jexp, up, lo) in enumerate((
         (q(1, 60), (q(-1, 60), q(19, 60)), q(4, 5)),
         (q(-11, 60), (q(11, 60), q(31, 60)), q(6, 5))), 1):
     _add(ident(f"rr{kk}-product", f"Rogers-Ramanujan product evaluation {kk}",
                "q",
                [T(_p("j", jexp), _hpg2(up[0], up[1], lo, "x1728_over_j"))],
-               [T(_p(f"rr{kk}_prod"))],
-               order=60))
+               [T(_p(f"rr{kk}_prod"))]))
     _add(ident(f"rr{kk}-prodsum", f"Rogers-Ramanujan sum form {kk}",
                "q",
                [T(_p(f"rr{kk}_prod"))],
-               [T(_p(f"rr{kk}_sum"))],
-               order=60))
+               [T(_p(f"rr{kk}_sum"))]))
 
 # -- modular: levels 2, 3, 4 -----------------------------------------------------
 
 _add(ident("dihb-1", "first dihedral covering evaluation",
            "x",
            [T(_p("dihb_unit", q(-1, 6)), _hpg2(q(-1, 6), q(1, 6), q(1, 2), "phi2"))],
-           [T(_p("one_minus_x", q(-1, 3)))],
-           order=50))
+           [T(_p("one_minus_x", q(-1, 3)))]))
 _add(ident("dihb-2", "second dihedral covering evaluation",
            "x",
            [T(_p("dihb_unit", q(1, 3)), _hpg2(q(1, 3), q(2, 3), q(3, 2), "phi2"))],
-           [T(_p("one_minus_x", q(-1, 3)))],
-           order=50))
+           [T(_p("one_minus_x", q(-1, 3)))]))
 _add(ident("tetr-1", "first tetrahedral covering evaluation",
            "x",
            [T(_p("tetr_unit", q(-1, 12)), _hpg2(q(-1, 12), q(1, 4), q(2, 3), "phi3t"))],
-           [T(_p("one_plus_x_over_4", q(-1, 4)))],
-           order=50))
+           [T(_p("one_plus_x_over_4", q(-1, 4)))]))
 _add(ident("tetr-2", "second tetrahedral covering evaluation",
            "x",
            [T(_p("tetr_unit", q(1, 4)), _hpg2(q(1, 4), q(7, 12), q(4, 3), "phi3t"))],
-           [T(_p("one_plus_x_over_4", q(-1, 4)))],
-           order=50))
+           [T(_p("one_plus_x_over_4", q(-1, 4)))]))
 _add(ident("octa-1", "first octahedral covering evaluation",
            "x",
            [T(_p("octa_unit", q(-1, 24)), _hpg2(q(-1, 24), q(7, 24), q(3, 4), "phi4o"))],
-           [T(_p("one_minus_x", q(-1, 6)))],
-           order=50))
+           [T(_p("one_minus_x", q(-1, 6)))]))
 _add(ident("octa-2", "second octahedral covering evaluation",
            "x",
            [T(_p("octa_unit", q(5, 24)), _hpg2(q(5, 24), q(13, 24), q(5, 4), "phi4o"))],
-           [T(_p("one_minus_x", q(-1, 6)))],
-           order=50))
+           [T(_p("one_minus_x", q(-1, 6)))]))
 
 _add(ident("j-h2", "j as a rational function of the level-2 Hauptmodul",
            "q",
-           [T(_p("j"), _p("h2", 2))], [T(_p("j_h2_num"))], order=50))
+           [T(_p("j"), _p("h2", 2))], [T(_p("j_h2_num"))]))
 _add(ident("h2-lambda", "level-2 Hauptmodul through the modular lambda",
            "q",
            [T(_p("h2"), _p("lam16", 2))],
-           [T(), T(_p("lam16"), w=-16)],
-           order=50))
+           [T(), T(_p("lam16"), w=-16)]))
 _add(ident("sqrt-h2-64", "the shifted Hauptmodul square root through lambda",
            "q",
            [T(_p("h2_plus_64", q(1, 2)))],
-           [T(_p("lam16", -1)), T(w=-8)],
-           order=50))
+           [T(_p("lam16", -1)), T(w=-8)]))
 _add(ident("level2-eval-1", "first level-2 modular evaluation",
            "q",
            [T(_p("j", q(1, 6)), _hpg2(q(-1, 6), q(1, 6), q(1, 2), "x1728_over_j"))],
-           [T(_p("h2", q(-1, 3)), _p("h2_plus_64", q(1, 2)))],
-           order=50))
+           [T(_p("h2", q(-1, 3)), _p("h2_plus_64", q(1, 2)))]))
 _add(ident("level2-eval-2", "second level-2 modular evaluation",
            "q",
            [T(_p("j", q(-1, 3)), _hpg2(q(1, 3), q(2, 3), q(3, 2), "x1728_over_j"))],
-           [T(_p("h2", q(-1, 3)))],
-           order=50))
+           [T(_p("h2", q(-1, 3)))]))
 _add(ident("j-h3", "j as a rational function of the level-3 Hauptmodul",
            "q",
-           [T(_p("j"), _p("h3", 3))], [T(_p("j_h3_num"))], order=50))
+           [T(_p("j"), _p("h3", 3))], [T(_p("j_h3_num"))]))
 _add(ident("level3-eval-1", "first level-3 modular evaluation",
            "q",
            [T(_p("j", q(1, 12)), _hpg2(q(-1, 12), q(1, 4), q(2, 3), "x1728_over_j"))],
-           [T(_p("h3", q(-1, 4)), _p("h3_plus_27", q(1, 3)))],
-           order=50))
+           [T(_p("h3", q(-1, 4)), _p("h3_plus_27", q(1, 3)))]))
 _add(ident("level3-eval-2", "second level-3 modular evaluation",
            "q",
            [T(_p("j", q(-1, 4)), _hpg2(q(1, 4), q(7, 12), q(4, 3), "x1728_over_j"))],
-           [T(_p("h3", q(-1, 4)))],
-           order=50))
+           [T(_p("h3", q(-1, 4)))]))
 _add(ident("j-h4", "j as a rational function of the level-4 Hauptmodul",
            "q",
-           [T(_p("j"), _p("h4", 4), _p("h4_plus_16"))], [T(_p("j_h4_num"))], order=50))
+           [T(_p("j"), _p("h4", 4), _p("h4_plus_16"))], [T(_p("j_h4_num"))]))
 _add(ident("h4-plus-16-eta", "the shifted level-4 Hauptmodul as an eta quotient",
            "q",
-           [T(_p("h4_plus_16"))], [T(_p("h4_plus_16_eta"))], order=50))
+           [T(_p("h4_plus_16"))], [T(_p("h4_plus_16_eta"))]))
 _add(ident("level4-eval-1", "first octahedral modular evaluation",
            "q",
            [T(_p("j", q(1, 24)), _hpg2(q(-1, 24), q(7, 24), q(3, 4), "x1728_over_j"))],
-           [T(_p("octa1_eta"))],
-           order=50))
+           [T(_p("octa1_eta"))]))
 _add(ident("level4-eval-2", "second octahedral modular evaluation",
            "q",
            [T(_p("j", q(-5, 24)), _hpg2(q(5, 24), q(13, 24), q(5, 4), "x1728_over_j"))],
-           [T(_p("octa2_eta"))],
-           order=50))
+           [T(_p("octa2_eta"))]))
 _add(ident("e4-classical-1", "weight-4 Eisenstein root as a hypergeometric value",
            "q",
            [T(_hpg2(q(1, 12), q(5, 12), QQ(1), "x1728_over_j"))],
-           [T(_p("E4", q(1, 4)))],
-           order=50))
+           [T(_p("E4", q(1, 4)))]))
 _add(ident("e4-classical-2", "weight-4 Eisenstein root through j and eta",
            "q",
            [T(_p("E4", q(1, 4)))],
-           [T(_p("j", q(1, 12)), _p("eta", 2))],
-           order=50))
+           [T(_p("j", q(1, 12)), _p("eta", 2))]))
 _add(ident("lambda-eta-product", "modular lambda as an explicit half-integer product",
            "q",
-           [T(_p("lam16"))], [T(_p("lam16_prod"))], order=50))
+           [T(_p("lam16"))], [T(_p("lam16_prod"))]))
 _add(ident("eta-pentagonal", "eta product equals the theta sum",
            "q",
-           [T(_p("eta"))], [T(_p("eta_theta"))], order=60))
+           [T(_p("eta"))], [T(_p("eta_theta"))]))
 _add(ident("disc-eta24", "the discriminant (E4^3 - E6^2)/1728 as the 24th power of eta",
            "q",
            [T(_p("E4", 3)), T(_p("E6", 2), w=-1)],
-           [T(_p("eta", 24), w=1728)],
-           order=50))
+           [T(_p("eta", 24), w=1728)]))
 
 # -- modular: product forms against their eta-quotient routes --------------------
 
@@ -685,7 +656,7 @@ for id_, anchor, eta, prod in (
          "octa1_eta", "octa1_prod"),
         ("octa2-prod", "the second octahedral eta quotient as an explicit product",
          "octa2_eta", "octa2_prod")):
-    _add(ident(id_, anchor, "q", [T(_p(eta))], [T(_p(prod))], order=50))
+    _add(ident(id_, anchor, "q", [T(_p(eta))], [T(_p(prod))]))
 
 IDENTITY_BY_ID = {s.id: s for s in IDENTITIES}
 
@@ -787,11 +758,48 @@ def _hpg_ode_check(order):
     return passed(_HPG_DEPTH)
 
 
+def _hpg_coefficients_check(order):
+    for label, p in _class_params():
+        s = hpg_series(p, _HPG_DEPTH)
+        for k in range(_HPG_DEPTH):
+            if s.coefficient(k) != hpg_coefficient(p, k):
+                return failed(_HPG_DEPTH, detail=f"{label} {p}: coefficient {k} of the series "
+                                                f"is not the Pochhammer quotient")
+    return passed(_HPG_DEPTH)
+
+
 def _hpg_interlacing_check(order):
     for label, p in _class_params():
-        if not interlacing_check(p):
-            return failed(detail=f"{label} {p}: parameters do not interlace")
+        for k, conjugate in galois_conjugates(p):
+            if not interlacing_check(conjugate):
+                return failed(detail=f"{label} {p}: the conjugate at k={k} does not interlace")
     return passed()
+
+
+# (source, target): the target's 3F2 is the source's with upper[2] and
+# lower[1] lowered by one, in the source spec's own parameter order
+_CONTIGUOUS = (("thm-3A-3", "contig-3A-extra"), ("thm-7Ainf-2", "thm-7A-1"),
+               ("thm-7Ainf-3", "thm-7A-2"), ("thm-7B-2", "thm-7B-extra"))
+
+
+def _hpg_atom(spec_id):
+    spec = IDENTITY_BY_ID[spec_id]
+    (f,) = [f for t in spec.left + spec.right for f in t.factors if isinstance(f, Hpg)]
+    return f.params()
+
+
+def _hpg_contiguity_check(order):
+    for src, dst in _CONTIGUOUS:
+        p, target = _hpg_atom(src), _hpg_atom(dst)
+        want = p.shifted({2: -1}, {1: -1})
+        if (sorted(want.upper), sorted(want.lower)) != (sorted(target.upper), sorted(target.lower)):
+            return failed(detail=f"{src} -> {dst}: lowering upper[2] and lower[1] of {p} "
+                                 f"gives {want}, not {target}")
+        hit = first_mismatch(shift_down(p, 2, 1, hpg_series(p, order)), hpg_series(want, order),
+                             below=order)
+        if hit is not None:
+            return failed(order, Mismatch(*hit), detail=f"{src} -> {dst}")
+    return passed(order)
 
 
 _RELATION_ANCHORS = {
@@ -847,8 +855,12 @@ _register("x7-coefficients", "initial coefficients of the level-7 Hauptmodul",
           _coeff_check("x7", [(1, QQ(-1)), (2, QQ(2)), (3, QQ(0)), (4, QQ(-5)), (5, QQ(4))]))
 _register("hpg-ode", "every local solution of each 3F2 class parameter set solves its equation",
           _hpg_ode_check)
-_register("hpg-interlacing", "each 3F2 class parameter set interlaces, as finite monodromy requires",
-          _hpg_interlacing_check)
+_register("hpg-coefficients", "each 3F2 class parameter set's series has the Pochhammer coefficients",
+          _hpg_coefficients_check)
+_register("hpg-interlacing", "each 3F2 class parameter set and its Galois conjugates interlace, "
+          "as finite monodromy requires", _hpg_interlacing_check)
+_register("hpg-contiguity", "contiguous 3F2 evaluations by the second-order contiguity relation",
+          _hpg_contiguity_check)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +882,8 @@ SUITES = {
     "transformations": [
         "t32a-quadratic", "t32b-cubic", "t32c-cubic",
         "dihedral-1", "dihedral-2", "dihedral-3", "dihedral-4",
-        "tetra-2", "tetra-3", "icosa-1", "icosa-2", "hpg-ode", "hpg-interlacing",
+        "tetra-2", "tetra-3", "icosa-1", "icosa-2",
+        "hpg-ode", "hpg-coefficients", "hpg-interlacing", "hpg-contiguity",
     ],
     "klein-invariants": ["klein-congruence", "klein-quotient", "klein-quotient-q"],
     "modular-level5": ["h5-x5", "h5-prod", "j-phi5-x5", "x5-h5-substitution",

@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from . import __version__, catalog
 from .report import ERROR, PASS, VerificationReport
 from .scalars import BACKEND, QQ
-from .verifier import chart_series, expand_terms
+from .verifier import MIN_ORDER, chart_series, expand_terms
 
 # far above the 128 of the heaviest documented runs; series sizes, q-product
 # factor lists and run times all grow with the order
@@ -43,8 +43,8 @@ def run_single(check_id: str, order: int) -> dict:
 def _run_checks(label: str, ids, order: int) -> dict:
     """Run the checks one by one; a check that raises is reported as an
     error, its traceback goes to stderr, and the run goes on."""
-    if order < 8:
-        raise ValueError("order must be at least 8")
+    if order < MIN_ORDER:
+        raise ValueError(f"order must be at least {MIN_ORDER}")
     t0 = time.monotonic()
     results = []
     for cid in ids:

@@ -32,7 +32,6 @@ __all__ = [
     "local_expansion",
     "verify_divisor",
     "isogeny_pullback",
-    "isogeny_point_image",
     "involution_apply",
     "torsion_audit",
     "ec_add",
@@ -572,14 +571,6 @@ def isogeny_pullback(f_on_e4: CurveFunction) -> CurveFunction:
     w_expr = CurveFunction(E7, UniPoly(), poly(1, 0, -32), poly(1, -11, 32) ** 2)
     out = f_on_e4.subst(p_expr, w_expr)
     return out
-
-
-def isogeny_point_image(pt: AffinePoint) -> AffinePoint:
-    """Image on E4 of a rational point of E7."""
-    c = poly(1, -11, 32)
-    u0, v0 = QQ(pt.u), QQ(pt.v)
-    cp = c(u0)
-    return AffinePoint(u0 / cp, v0 * (1 - 32 * u0 * u0) / (cp * cp))
 
 
 def involution_apply(f: CurveFunction) -> CurveFunction:

@@ -1,15 +1,15 @@
 """Generalized hypergeometric series, their ODE, local bases and contiguity.
 
 Parameters are exact rationals.  3F2 gets the full treatment (companion
-bases from the parameter matrix, the third-order operator, contiguous
-shifts); the same series code serves 2F1 for the quadratic/cubic and
-dihedral transformation checks.
+bases from the parameter matrix, the third-order operator, the second-order
+contiguous shift, interlacing of the Galois conjugates); the same series
+code serves 2F1 for the quadratic/cubic and dihedral transformation checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, lcm, prod
 
 from .scalars import QQ, ONE
 from .series import PuiseuxSeries
@@ -23,8 +23,9 @@ __all__ = [
     "companion_basis",
     "CompanionBasis",
     "LocalSolution",
-    "contiguous_apply",
+    "shift_down",
     "interlacing_check",
+    "galois_conjugates",
     "NonGenericError",
     "HpgClass",
     "CLASSES",
@@ -192,61 +193,23 @@ def solution_series(sol: LocalSolution, n: int) -> PuiseuxSeries:
     return f * mono
 
 
-def contiguous_apply(kind, p: HpgParams, f: PuiseuxSeries) -> PuiseuxSeries:
-    """Contiguous shifts realized as differential operators on a solution series.
-
-    kind is one of
-      ("identity",)
-      ("derivative",)            d/dz F = (prod upper / prod lower) F(all+1)
-      ("upper+1", j)             F with upper[j] raised by one
-      ("upper+1-inv", j)         exact inverse of ("upper+1", j)
-      ("lower-1", j)             F with lower[j] lowered by one
-      ("second-order", i, j)     F with upper[i] and lower[j] lowered by one
-    """
-    tag = kind[0]
-    if tag == "identity":
-        return f
-    if tag == "derivative":
-        return f.derivative()
-    if tag == "upper+1":
-        a = p.upper[kind[1]]
-        if not a:
-            raise ZeroDivisionError("upper parameter 0 cannot be raised this way")
-        return f + f.zderivative().scale(1 / QQ(a))
-    if tag == "upper+1-inv":
-        a = p.upper[kind[1]]
-        out = []
-        for e, c in zip(_exponents(f), f.coeffs):
-            if a + e == 0:
-                raise ZeroDivisionError("vanishing denominator in inverse shift")
-            out.append(c * a / (a + e))
-        return PuiseuxSeries.make(f.grid, f.lead, out, f.order)
-    if tag == "lower-1":
-        b = p.lower[kind[1]]
-        if b == 1:
-            raise ZeroDivisionError("lower parameter 1 cannot be lowered this way")
-        return f + f.zderivative().scale(1 / QQ(b - 1))
-    if tag == "second-order":
-        i, j = kind[1], kind[2]
-        a1 = p.upper[i]
-        a2, a3 = [a for k, a in enumerate(p.upper) if k != i]
-        b1 = p.lower[j]
-        (b2,) = [b for k, b in enumerate(p.lower) if k != j]
-        if (b1 - 1) * (a1 - b2) == 0:
-            raise ZeroDivisionError("vanishing denominator in second-order shift")
-        z = PuiseuxSeries.monomial(QQ(1), f.order_exponent + 1)
-        zf = f.zderivative()
-        zzf = zf.zderivative()          # (z d/dz)^2 F
-        d2 = zzf - zf                   # z^2 F'' = (delta^2 - delta) F
-        term = f.scale((b1 - 1) * (a1 - b2)) + (z * f).scale(a2 * a3)
-        term = term + zf.scale(a1 - b1 - b2) + (z * zf).scale(a2 + a3 + 1)
-        term = term + (z * d2) - d2
-        return term.scale(1 / ((b1 - 1) * (a1 - b2)))
-    raise ValueError(f"unknown contiguous shift {kind!r}")
-
-
-def _exponents(f: PuiseuxSeries):
-    return [QQ(f.lead + i, f.grid) for i in range(len(f.coeffs))]
+def shift_down(p: HpgParams, i: int, j: int, f: PuiseuxSeries) -> PuiseuxSeries:
+    """The series of F with upper[i] and lower[j] lowered by one, from the
+    series f of F by the second-order contiguity operator."""
+    a1 = p.upper[i]
+    a2, a3 = [a for k, a in enumerate(p.upper) if k != i]
+    b1 = p.lower[j]
+    (b2,) = [b for k, b in enumerate(p.lower) if k != j]
+    if (b1 - 1) * (a1 - b2) == 0:
+        raise ZeroDivisionError("vanishing denominator in second-order shift")
+    z = PuiseuxSeries.monomial(QQ(1), f.order_exponent + 1)
+    zf = f.zderivative()
+    zzf = zf.zderivative()          # (z d/dz)^2 F
+    d2 = zzf - zf                   # z^2 F'' = (delta^2 - delta) F
+    term = f.scale((b1 - 1) * (a1 - b2)) + (z * f).scale(a2 * a3)
+    term = term + zf.scale(a1 - b1 - b2) + (z * zf).scale(a2 + a3 + 1)
+    term = term + (z * d2) - d2
+    return term.scale(1 / ((b1 - 1) * (a1 - b2)))
 
 
 def interlacing_check(p: HpgParams) -> bool:
@@ -259,6 +222,16 @@ def interlacing_check(p: HpgParams) -> bool:
     marked = sorted([(v, "a") for v in ups] + [(v, "b") for v in los])
     tags = [t for _, t in marked]
     return all(tags[i] != tags[(i + 1) % len(tags)] for i in range(len(tags)))
+
+
+def galois_conjugates(p: HpgParams):
+    """(k, k*p) for every 0 < k <= D prime to the common denominator D of the
+    parameters.  Finite monodromy needs every one of them to interlace
+    (Beukers and Heckman, Invent. Math. 95, 1989)."""
+    d = lcm(*(x.denominator for x in p.upper + p.lower))
+    for k in range(1, d + 1):
+        if gcd(k, d) == 1:
+            yield k, HpgParams(tuple(k * a for a in p.upper), tuple(k * b for b in p.lower))
 
 
 def _frac(x):

@@ -16,7 +16,7 @@ from fractions import Fraction
 try:
     from gmpy2 import mpq as QQ
     BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - gmpy2 is present in normal installs
+except ImportError:  # gmpy2 is an optional speed-up; Fraction gives the same exact results
     QQ = Fraction
     BACKEND = "fractions"
 

@@ -236,9 +236,6 @@ class PuiseuxSeries:
         coeffs = [c * QQ(self.lead + i, g) for i, c in enumerate(self.coeffs)]
         return PuiseuxSeries.make(g, self.lead, coeffs, self.order)
 
-    def map_coefficients(self, f) -> "PuiseuxSeries":
-        return PuiseuxSeries.make(self.grid, self.lead, [f(c) for c in self.coeffs], self.order)
-
 
 def _exp_to_grid_floorplus(exp, grid: int) -> int:
     """Smallest grid index n with {exponents < exp} == {indices < n}."""

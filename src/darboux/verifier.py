@@ -24,6 +24,7 @@ __all__ = [
     "Hpg",
     "Term",
     "IdentitySpec",
+    "MIN_ORDER",
     "memo",
     "register_chart",
     "chart_series",
@@ -69,8 +70,11 @@ class IdentitySpec:
     chart: str
     left: tuple
     right: tuple
-    default_order: int = 64
-    min_order: int = 8
+
+
+# the lowest order any check runs at: verify_identity reports a lower one as
+# insufficient, and the command line refuses it
+MIN_ORDER = 8
 
 
 # -- chart registry and the series memo ----------------------------------------
@@ -141,8 +145,8 @@ def expand_terms(terms, chart: str, target) -> PuiseuxSeries:
 def verify_identity(spec: IdentitySpec, order: int) -> VerificationReport:
     """Compare both sides exactly for all exponents below the order."""
     order = int(order)
-    if order < spec.min_order:
-        return VerificationReport(INSUFFICIENT, order, detail=f"needs order >= {spec.min_order}")
+    if order < MIN_ORDER:
+        return VerificationReport(INSUFFICIENT, order, detail=f"needs order >= {MIN_ORDER}")
     pad = 8
     for _ in range(6):
         target = order + pad

@@ -14,6 +14,7 @@ from darboux.belyi import Phi3_map, branching_pattern, pattern, rh_genus
 from darboux.catalog import IDENTITIES, run_check
 from darboux.ellcurve import E4, E7, cf, torsion_audit
 from darboux.verifier import exponent_slots, perturb, verify_identity
+from test_belyi import passport
 
 
 def _announce(k, label):
@@ -29,7 +30,7 @@ def _run_all(ids, order):
 def test_criterion_01_branching():
     t0 = time.monotonic()
     p = branching_pattern(Phi3_map())
-    assert p.passport() == ((7, 7, 7, 1, 1, 1), (3,) * 8, (2,) * 12)
+    assert passport(p) == ((7, 7, 7, 1, 1, 1), (3,) * 8, (2,) * 12)
     assert p.over0 == (7, 7, 7, 1, 1, 1)
     assert rh_genus(p) == 0
     assert rh_genus(pattern([7, 7, 7, 1, 1, 1], [2] * 12, [4] * 6)) == 1

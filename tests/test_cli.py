@@ -119,7 +119,7 @@ def test_failed_spec_nonzero_exit(capsys, monkeypatch):
     import darboux.catalog as cat
     from darboux.verifier import IdentitySpec, Term, Pw, verify_identity
     bad = IdentitySpec("bogus-check", "synthetic failing identity", "x",
-                       (Term(1, (Pw("x", 1),)),), (Term(1, (Pw("one_minus_x", 1),)),), 16)
+                       (Term(1, (Pw("x", 1),)),), (Term(1, (Pw("one_minus_x", 1),)),))
     monkeypatch.setitem(cat.CHECKS, "bogus-check",
                         cat.Check(bad.id, bad.anchor, lambda order: verify_identity(bad, order)))
     code = main(["--spec", "bogus-check", "--order", "12"])

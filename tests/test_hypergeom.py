@@ -1,5 +1,6 @@
 """Hypergeometric layer: series oracle values, operator residuals,
-companion bases against the printed parameter matrices, contiguity."""
+companion bases against the printed parameter matrices, contiguity,
+interlacing, and the 3F2 parameter sets the catalog states."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,18 +8,18 @@ from hypothesis import assume, given, settings, strategies as st
 from darboux.scalars import QQ, rat
 from darboux.series import PuiseuxSeries, first_mismatch
 from darboux import catalog
-from darboux.catalog import run_check
+from darboux.catalog import IDENTITIES, run_check
 from darboux.hypergeom import (
     CLASSES,
     HpgClass,
     NonGenericError,
     companion_basis,
-    contiguous_apply,
     hpg_coefficient,
     hpg_series,
     interlacing_check,
     m_matrix,
     ode_residual,
+    shift_down,
     solution_series,
 )
 from darboux.hypergeom import p3
@@ -53,6 +54,23 @@ def test_coefficients_match_pochhammer_product_route(k):
     p = p3("-1/42", "13/42", "9/14", "4/7", "6/7")
     s = hpg_series(p, k + 1)
     assert s.coefficient(k) == hpg_coefficient(p, k)
+
+
+def test_catalog_classes_have_pochhammer_coefficients():
+    assert run_check("hpg-coefficients", 16).ok
+
+
+def test_coefficients_check_names_a_wrong_member(monkeypatch):
+    """A member whose series is that of a contiguous neighbour must fail."""
+    wrong = CLASSES["3B"].members[2]
+
+    def series(p, n):
+        return hpg_series(p.shifted(dupper={1: 1}) if p == wrong else p, n)
+
+    monkeypatch.setattr(catalog, "hpg_series", series)
+    rep = run_check("hpg-coefficients", 16)
+    assert rep.status == "fail"
+    assert rep.detail.startswith(f"3B {wrong}: coefficient 1 "), rep.detail
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +259,45 @@ def test_companion_basis_refuses_resonance():
 # contiguity
 # ---------------------------------------------------------------------------
 
+def _exponents(f: PuiseuxSeries):
+    return [QQ(f.lead + i, f.grid) for i in range(len(f.coeffs))]
+
+
+def contiguous_apply(kind, p, f: PuiseuxSeries) -> PuiseuxSeries:
+    """Reference contiguous shifts, as differential operators on a solution
+    series.  kind is one of
+      ("identity",)
+      ("derivative",)            d/dz F = (prod upper / prod lower) F(all+1)
+      ("upper+1", j)             F with upper[j] raised by one
+      ("upper+1-inv", j)         exact inverse of ("upper+1", j)
+      ("lower-1", j)             F with lower[j] lowered by one
+    """
+    tag = kind[0]
+    if tag == "identity":
+        return f
+    if tag == "derivative":
+        return f.derivative()
+    if tag == "upper+1":
+        a = p.upper[kind[1]]
+        if not a:
+            raise ZeroDivisionError("upper parameter 0 cannot be raised this way")
+        return f + f.zderivative().scale(1 / QQ(a))
+    if tag == "upper+1-inv":
+        a = p.upper[kind[1]]
+        out = []
+        for e, c in zip(_exponents(f), f.coeffs):
+            if a + e == 0:
+                raise ZeroDivisionError("vanishing denominator in inverse shift")
+            out.append(c * a / (a + e))
+        return PuiseuxSeries.make(f.grid, f.lead, out, f.order)
+    if tag == "lower-1":
+        b = p.lower[kind[1]]
+        if b == 1:
+            raise ZeroDivisionError("lower parameter 1 cannot be lowered this way")
+        return f + f.zderivative().scale(1 / QQ(b - 1))
+    raise ValueError(f"unknown contiguous shift {kind!r}")
+
+
 def test_derivative_relation():
     p = p3("-1/42", "13/42", "9/14", "4/7", "6/7")
     n = 14
@@ -272,7 +329,7 @@ def test_upper_shift_roundtrip():
 
 def test_second_order_shift_matches_direct_series():
     p = p3("5/14", "2/5", "4/5", "5/7", "9/7")
-    got = contiguous_apply(("second-order", 0, 0), p, hpg_series(p, 12))
+    got = shift_down(p, 0, 0, hpg_series(p, 12))
     want = hpg_series(p.shifted({0: -1}, {0: -1}), 10)
     assert first_mismatch(got, want, below=9) is None
 
@@ -281,6 +338,33 @@ def test_identity_shift():
     p = p3("1/5", "2/5", "4/5", "5/7", "8/7")
     f = hpg_series(p, 9)
     assert contiguous_apply(("identity",), p, f) is f
+
+
+def test_contiguous_catalog_evaluations():
+    assert run_check("hpg-contiguity", 24).ok
+
+
+def test_contiguity_check_names_a_wrong_pair(monkeypatch):
+    pairs = list(catalog._CONTIGUOUS)
+    pairs[2] = ("thm-7Ainf-3", "thm-7B-extra")
+    monkeypatch.setattr(catalog, "_CONTIGUOUS", tuple(pairs))
+    rep = run_check("hpg-contiguity", 24)
+    assert rep.status == "fail"
+    assert rep.detail.startswith("thm-7Ainf-3 -> thm-7B-extra: "), rep.detail
+
+
+def test_contiguity_check_names_the_pair_a_wrong_shift_breaks(monkeypatch):
+    """With the operator's result cut to its constant term, the first
+    relation fails at its first coefficient."""
+    def constant_term(p, i, j, f):
+        s = shift_down(p, i, j, f)
+        return PuiseuxSeries.const(s.coefficient(0), s.order_exponent)
+
+    monkeypatch.setattr(catalog, "shift_down", constant_term)
+    rep = run_check("hpg-contiguity", 24)
+    assert rep.status == "fail"
+    assert rep.detail == "thm-3A-3 -> contig-3A-extra"
+    assert rep.first_mismatch.exponent == 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +382,19 @@ def test_interlacing_check_names_a_wrong_member(monkeypatch):
                                                 cls.members + (wrong,)))
     rep = run_check("hpg-interlacing", 16)
     assert rep.status == "fail"
-    assert rep.detail == f"7B {wrong}: parameters do not interlace"
+    assert rep.detail == f"7B {wrong}: the conjugate at k=1 does not interlace"
+
+
+def test_interlacing_check_names_a_wrong_conjugate(monkeypatch):
+    # this set interlaces, but its conjugate at k=2 does not
+    wrong = p3("1/7", "3/7", "5/7", "2/7", "4/7")
+    assert interlacing_check(wrong)
+    cls = CLASSES["3A"]
+    monkeypatch.setitem(CLASSES, "3A", HpgClass(cls.label, cls.representative,
+                                                cls.members + (wrong,)))
+    rep = run_check("hpg-interlacing", 16)
+    assert rep.status == "fail"
+    assert rep.detail == f"3A {wrong}: the conjugate at k=2 does not interlace"
 
 
 def test_interlacing_false_for_non_algebraic_pick():
@@ -308,3 +404,23 @@ def test_interlacing_false_for_non_algebraic_pick():
 def test_interlacing_non_generic_error():
     with pytest.raises(NonGenericError):
         interlacing_check(p3("1/3", "1/2", "3/4", "1/3", "2/3"))
+
+
+# ---------------------------------------------------------------------------
+# the 3F2 parameter sets, as the catalog states them
+# ---------------------------------------------------------------------------
+
+def _as_multisets(p):
+    return tuple(sorted(p.upper)), tuple(sorted(p.lower))
+
+
+def test_class_members_are_the_catalog_3f2_atoms():
+    """Each class member is the 3F2 of some identity, and each 3F2 of an
+    identity is a member, parameters compared as multisets (the right side
+    of t32a-quadratic states thm-7B-1's set in another order)."""
+    atoms = {_as_multisets(f.params())
+             for spec in IDENTITIES for term in spec.left + spec.right for f in term.factors
+             if isinstance(f, catalog.Hpg) and len(f.upper) == 3}
+    members = {_as_multisets(p) for cls in CLASSES.values() for p in cls.members}
+    assert len(members) == 26
+    assert atoms == members

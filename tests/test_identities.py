@@ -20,6 +20,7 @@ from darboux.verifier import (
     verify_identity,
     verify_radical_candidate_separation,
 )
+from test_series import conjugate
 
 
 @pytest.mark.parametrize("spec", IDENTITIES, ids=[s.id for s in IDENTITIES])
@@ -120,10 +121,6 @@ def test_unit_rearrangements_are_exact():
 # the conjugate-sum sides: rotation support and Galois stability
 # ---------------------------------------------------------------------------
 
-def _conj_series(s):
-    return s.map_coefficients(lambda c: c.conjugate() if isinstance(c, Omega) else c)
-
-
 @pytest.mark.parametrize("k,residue", [(1, 0), (2, 1), (3, 2)])
 def test_omega_rhs_rotation_support(k, residue):
     spec = IDENTITY_BY_ID[f"thm-omega-{k}"]
@@ -135,7 +132,7 @@ def test_omega_rhs_rotation_support(k, residue):
 def test_omega_rhs_trace_is_rational():
     spec = IDENTITY_BY_ID["thm-omega-1"]
     s = expand_terms(spec.right, spec.chart, 24)
-    tr = s + _conj_series(s)
+    tr = s + conjugate(s)
     for _, c in tr.terms():
         assert not isinstance(c, Omega) or not c.b, c
 
@@ -162,8 +159,8 @@ def test_conjugated_identity_also_passes():
     # applying the Galois automorphism to every ingredient of an omega spec
     # yields the conjugate identity, which must pass as well
     spec = IDENTITY_BY_ID["thm-omega-2"]
-    lhs = _conj_series(expand_terms(spec.left, spec.chart, 20))
-    rhs = _conj_series(expand_terms(spec.right, spec.chart, 20))
+    lhs = conjugate(expand_terms(spec.left, spec.chart, 20))
+    rhs = conjugate(expand_terms(spec.right, spec.chart, 20))
     assert first_mismatch(lhs, rhs) is None
 
 

@@ -1,6 +1,7 @@
 """Every function, class and method in src/darboux is named somewhere in
-src/ outside its own definition and ``__all__``: code that nothing in the
-package calls does not stay in the package."""
+src/ outside its own definition and ``__all__``, and every dataclass field
+and ``__slots__`` entry is read as an attribute somewhere in src/: code and
+state that nothing in the package uses do not stay in the package."""
 
 import ast
 from pathlib import Path
@@ -9,12 +10,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "darboux"
 
 # Named only from tests/ or perfbench/, one reason each.
 ALLOWED = {
-    "passport": "BranchingPattern.passport, the sorted fibers criterion 1 compares",
-    "isogeny_point_image": "the isogeny's map on points, tested to land on the target curve",
-    "map_coefficients": "PuiseuxSeries coefficient map, the Q(w) conjugation the Omega tests apply",
-    "hpg_coefficient": "closed-form 3F2 coefficient; its catalog check is an open item",
-    "contiguous_apply": "3F2 contiguity relation; its catalog check is an open item",
-    "shifted": "HpgParams.shifted, the parameter shift the contiguity tests compare against",
     "exponent_slots": "negative-control API that criterion 13 and the benchmark call",
     "perturb": "negative-control API that criterion 13 and the benchmark call",
 }
@@ -50,3 +45,40 @@ def test_every_definition_has_a_caller_in_src():
         if not any(n == name and node not in chain for n, chain in uses):
             uncalled[name] = where
     assert sorted(uncalled) == sorted(ALLOWED), uncalled
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _fields_and_reads():
+    """Every dataclass field and __slots__ entry as (name, file:line), and
+    every attribute name read anywhere in src/."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                where = f"{path.name}:{stmt.lineno}"
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and _is_dataclass(node)):
+                    fields.append((stmt.target.id, where))
+                elif (isinstance(stmt, ast.Assign)
+                      and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                              for t in stmt.targets)):
+                    fields.extend((elt.value, where) for elt in stmt.value.elts)
+    return fields, reads
+
+
+def test_every_field_is_read_in_src():
+    fields, reads = _fields_and_reads()
+    assert fields
+    unread = {name: where for name, where in fields if name not in reads}
+    assert unread == {}, unread
