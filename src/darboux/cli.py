@@ -135,6 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _message(e) -> str:
+    """The text of an error; str() of a KeyError would quote it."""
+    return e.args[0] if isinstance(e, KeyError) else str(e)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.order is None:
@@ -157,7 +162,7 @@ def main(argv=None) -> int:
         try:
             print(dump_series(args.dump, args.order, args.format))
         except (KeyError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
+            print(f"error: {_message(e)}", file=sys.stderr)
             return 2
         return 0
     if not (args.spec or args.suite):
@@ -173,7 +178,7 @@ def main(argv=None) -> int:
         try:
             doc = run_single(args.spec, args.order) if args.spec else run_suite(args.suite, args.order)
         except (KeyError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
+            print(f"error: {_message(e)}", file=sys.stderr)
             return 2
         if args.output:
             json.dump(doc, out, indent=2, sort_keys=True)

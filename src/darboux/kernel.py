@@ -6,6 +6,13 @@ behind ``ps_compose`` and ``UniPoly.eval_series``) and
 ``polyalg.UniPoly.__mul__`` all multiply coefficient lists here; ``series.ps_pow`` raises them to rational powers
 here, by a fraction-free recurrence; ``UniPoly.divmod`` and ``UniPoly.gcd``
 divide them here, by a Newton inverse of the reversed divisor.
+
+``_horner`` takes baby steps and giant steps (Paterson & Stockmeyer 1973).
+Its baby steps are ``_kmul`` products b^i = b^(i-1) * b for i <= k, each
+cut to its own window.  Its blocks sum_i c[mk+i] b^i and its giant steps
+A_m = A_(m+1) b^k + P_m are each one ``_kdot``: scalars times integer
+vectors at slot offsets, over one common denominator.  The giant step of
+block m is cut where the window, shifted by the m*k*v still to come, ends.
 """
 
 from __future__ import annotations
@@ -109,6 +116,42 @@ def _spread(v, s, n):
     out = [0] * n
     out[::s] = v
     return out
+
+
+def _kdot(terms, n):
+    """First n slots of the sum of s * x * z**at over terms (s, x, at): an
+    exact scalar s times an integer vector x whose slot 0 lands on slot at
+    (a negative at drops the first -at slots of x), over one common
+    denominator.  An Omega s times a Q(w) vector takes three products."""
+    terms = [(_vec([s]), x, at) for s, x, at in terms]
+    d = lcm(*(sd * dx for (_, _, sd), (_, _, dx), _ in terms))
+    omega = any(si is not None or xi is not None for (_, si, _), (_, xi, _), _ in terms)
+    re = [0] * n
+    im = [0] * n if omega else None
+    for (sr, si, sd), (xr, xi, dx), at in terms:
+        f = d // (sd * dx)
+        a, b = sr[0] * f, si[0] * f if si else 0
+        lo = max(0, -at)
+        at = max(0, at)
+        hi = lo + n - at
+        xr = xr[lo:hi]
+        xi = None if xi is None else xi[lo:hi]
+        if xi is None or not b:
+            for j, x in enumerate(xr, at):
+                re[j] += a * x
+            if xi is not None:
+                for j, y in enumerate(xi, at):
+                    im[j] += a * y
+            elif b:
+                for j, x in enumerate(xr, at):
+                    im[j] += b * x
+        else:
+            # (a + b*w)(x + y*w) with w*w = -1 - w, in three products
+            for j, (x, y) in enumerate(zip(xr, xi), at):
+                t0, t1 = a * x, b * y
+                re[j] += t0 - t1
+                im[j] += (a + b) * (x + y) - t0 - 2 * t1
+    return re, im, d
 
 
 def _reduced(re, im, d):

@@ -14,14 +14,19 @@ Every product of coefficient lists (``ps_mul``, the Newton inverse behind
 ``ps_div`` and ``_horner``) and every power (``ps_pow``) runs on the exact
 integer kernel in ``darboux.kernel``.  ``_horner`` is the one evaluator of
 a coefficient list at a series: ``ps_compose`` and
-``polyalg.UniPoly.eval_series`` both go through it.
+``polyalg.UniPoly.eval_series`` both go through it.  It takes baby steps
+and giant steps (Paterson & Stockmeyer 1973; Brent & Kung 1978): for K
+steps that reach the window and k = isqrt(K), the baby powers b^0 ... b^k,
+blocks of k terms summed as integer vectors, and Horner in b^k over the
+blocks, each block kept below the window it still has to reach.  That is
+about 2*sqrt(K) full-size products instead of K.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import isqrt, lcm
 
-from .kernel import _kmul, _kpow, _reduced, _scalars, _unit_inverse, _vec
+from .kernel import _kdot, _kmul, _kpow, _reduced, _scalars, _unit_inverse, _vec
 from .scalars import QQ, ZERO, ONE, scalar_inv
 
 __all__ = [
@@ -308,48 +313,44 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
 
 
 def _horner(c, b: PuiseuxSeries, stop: int) -> PuiseuxSeries:
-    """sum of c[k] b^k for a coefficient list c and a nonzero series b of
+    """sum of c[j] b^j for a coefficient list c and a nonzero series b of
     any valuation v, exact below grid index stop of b's grid.
 
-    Every evaluation of a coefficient list at a series runs here.  The
-    integer accumulator is anchored at grid index base = min(0, top*v),
-    below every partial sum.  After step k it still gets multiplied by b k
-    more times, which shifts it by k*v; so it is kept only below
-    stop - k*v, and when v > 0 the steps with k*v >= stop are skipped.
-    The caller keeps stop where the known coefficients of b reach: below
-    N(b) + (e-1)*v, with e the lowest power >= 1 present when v > 0 and the
-    top power otherwise.
+    Every evaluation of a coefficient list at a series runs here, by baby
+    steps and giant steps (Paterson & Stockmeyer 1973).  Only the terms
+    with j*v < stop reach the window; let top be the last of them and
+    k = isqrt(top + 1).  The integer vectors run on one anchor, grid index
+    base = min(0, top*v), below every partial sum.  The baby powers b^0 ...
+    b^k are built on the kernel, b^i cut at stop - max(0, i*v) - base.
+    Block m is P_m = sum_i c[mk+i] b^i, and the giant steps run Horner in
+    b^k over the blocks: A_m = A_(m+1) b^k + P_m, one scalar-times-vector
+    sum (kernel._kdot) per block.  A_m still gets multiplied by b^k m more
+    times, which shifts it by m*k*v; so it is kept only below
+    stop - m*k*v.  For top < 3, k = 1 and this is plain Horner.  The
+    caller keeps stop where the known coefficients of b reach: below
+    N(b) + (e-1)*v, with e the lowest power >= 1 present when v > 0 and
+    the top power otherwise.
     """
-    v, top = b.lead, len(c) - 1
-    base = min(0, top * v)
-    steps = range(min(top, (stop - 1) // v) if v > 0 else top, -1, -1)
-    if stop <= base or not steps:
+    v = b.lead
+    live = [j for j, cj in enumerate(c) if cj and j * v < stop]
+    if not live:
         return PuiseuxSeries(b.grid, stop, (), stop)
-    bvec = _vec(b.coeffs)
-    re, im, d = [], None, 1
-    for k in steps:
-        cut = stop - k * v - base
-        if any(re) or (im is not None and any(im)):
-            # the product starts at base + v: lift it by v, or drop -v slots
-            re, im, d = _kmul((re, im, d), bvec, cut - v)
-            re = [0] * v + re if v > 0 else re[-v:]
-            im = None if im is None else ([0] * v + im if v > 0 else im[-v:])
-        else:
-            re, im = [0] * cut, None if im is None else [0] * cut
-        if c[k] and -base < cut:
-            cr, ci, cd = _vec([c[k]])
-            dn = lcm(d, cd)
-            if dn != d:
-                re = [x * (dn // d) for x in re]
-                im = None if im is None else [x * (dn // d) for x in im]
-            if ci is not None and im is None:
-                im = [0] * cut
-            re[-base] += cr[0] * (dn // cd)
-            if ci is not None:
-                im[-base] += ci[0] * (dn // cd)
-            d = dn
-        re, im, d = _reduced(re, im, d)
-    return PuiseuxSeries.make(b.grid, base, _scalars((re, im, d)), stop)
+    top = live[-1]
+    base = min(0, top * v)
+    k = isqrt(top + 1)
+    powers = [([1], None, 1), _vec(b.coeffs)]
+    for i in range(2, k + 1):
+        powers.append(_kmul(powers[-1], powers[1], stop - max(0, i * v) - base))
+    acc = None
+    for m in range(top // k, -1, -1):
+        terms = [(c[j], powers[j - m * k], (j - m * k) * v - base)
+                 for j in live if m * k <= j < (m + 1) * k]
+        if acc is not None:
+            # the product starts at base + k*v: lift it by k*v, or drop -k*v slots
+            terms.append((ONE, _kmul(acc, powers[k], len(acc[0])), k * v))
+        if terms:
+            acc = _reduced(*_kdot(terms, stop - m * k * v - base))
+    return PuiseuxSeries.make(b.grid, base, _scalars(acc), stop)
 
 
 def ps_compose(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:

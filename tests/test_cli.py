@@ -92,6 +92,17 @@ def test_dump_with_a_negative_order_is_a_usage_error(capsys, name, order):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["--spec", "nosuch", "--order", "12"], "error: unknown check 'nosuch'\n"),
+    (["--dump", "x:nosuch", "--order", "10"], "error: no series 'nosuch' in chart 'x'\n"),
+])
+def test_unknown_name_message_has_no_stray_quotes(capsys, argv, line):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
+
+
 def test_report_anchors_are_the_listed_anchors(capsys):
     from darboux.catalog import check_anchor
     assert main(["belyi", "--order", "12", "--format", "json"]) == 0

@@ -4,7 +4,10 @@ The reference functions below are the former implementations of ps_mul
 (a direct convolution of rationals), of the unit inverse behind ps_div (the
 linear recurrence), of ps_compose (Horner with every step kept to the
 full bound, and powers of 1/b below exponent 0), of UniPoly.eval_series
-(Horner with a series product and an added constant per step), of ps_pow
+(Horner with a series product and an added constant per step), of
+series._horner (Horner with one kernel product per step, where the
+evaluator now takes baby steps and giant steps; the slot types must match
+too), of ps_pow
 (the Miller recurrence over every grid slot) and of UniPoly.__mul__ (the
 schoolbook convolution).  The kernel must reproduce their results exactly:
 the same grid, lead, order and coefficients, or the same polynomial.  The
@@ -18,10 +21,10 @@ from math import gcd, lcm
 from hypothesis import assume, given, settings, strategies as st
 
 import darboux.kernel as kernel_module
-from darboux.kernel import _kmul, _pack, _unpack, _vec
+from darboux.kernel import _kmul, _pack, _reduced, _scalars, _unpack, _vec
 from darboux.polyalg import UniPoly
 from darboux.scalars import QQ, ZERO, ONE, Omega, scalar_inv
-from darboux.series import PuiseuxSeries, first_mismatch, ps_compose, ps_div, ps_mul, ps_pow
+from darboux.series import PuiseuxSeries, _horner, first_mismatch, ps_compose, ps_div, ps_mul, ps_pow
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +118,43 @@ def ref_eval_series(p, s):
     return out
 
 
+def ref_horner(c, b, stop):
+    """sum of c[k] b^k below grid index stop, by Horner with one kernel
+    product per step: the integer accumulator is anchored at grid index
+    base = min(0, top*v), kept below stop - k*v after step k, and c[k] is
+    added when its slot lies inside that window."""
+    v, top = b.lead, len(c) - 1
+    base = min(0, top * v)
+    steps = range(min(top, (stop - 1) // v) if v > 0 else top, -1, -1)
+    if stop <= base or not steps:
+        return PuiseuxSeries(b.grid, stop, (), stop)
+    bvec = _vec(b.coeffs)
+    re, im, d = [], None, 1
+    for k in steps:
+        cut = stop - k * v - base
+        if any(re) or (im is not None and any(im)):
+            # the product starts at base + v: lift it by v, or drop -v slots
+            re, im, d = _kmul((re, im, d), bvec, cut - v)
+            re = [0] * v + re if v > 0 else re[-v:]
+            im = None if im is None else ([0] * v + im if v > 0 else im[-v:])
+        else:
+            re, im = [0] * cut, None if im is None else [0] * cut
+        if c[k] and -base < cut:
+            cr, ci, cd = _vec([c[k]])
+            dn = lcm(d, cd)
+            if dn != d:
+                re = [x * (dn // d) for x in re]
+                im = None if im is None else [x * (dn // d) for x in im]
+            if ci is not None and im is None:
+                im = [0] * cut
+            re[-base] += cr[0] * (dn // cd)
+            if ci is not None:
+                im[-base] += ci[0] * (dn // cd)
+            d = dn
+        re, im, d = _reduced(re, im, d)
+    return PuiseuxSeries.make(b.grid, base, _scalars((re, im, d)), stop)
+
+
 def ref_pow(a, r):
     """a**r, for a with unit coefficient 1, by the Miller recurrence
     k*y_k = sum_j ((r+1)*j - k) * u_j * y_(k-j) on every grid slot, in
@@ -183,12 +223,19 @@ scalar = {
     "omega": st.one_of(omega, st.just(ZERO)),
     "mixed": st.one_of(rational, omega),
 }
+# without the 600-bit numerators, for arguments raised to powers up to 40
+modest = {
+    "rational": st.one_of(small, st.just(ZERO)),
+    "omega": scalar["omega"],
+    "mixed": st.one_of(small, omega),
+}
 
 
 @st.composite
-def series(draw, kind="rational", step=None, lead=None, grid=None, max_terms=12):
+def series(draw, kind="rational", step=None, lead=None, grid=None, max_terms=12, values=None):
     """A canonical series whose nonzero offsets are multiples of `step`
     (grid-1 support spread onto grid 42 or 60 when step > 1)."""
+    values = scalar[kind] if values is None else values
     step = draw(st.sampled_from((1, 42, 60))) if step is None else step
     if grid is None:
         grid = step if step > 1 else draw(st.sampled_from((1, 2)))
@@ -197,8 +244,8 @@ def series(draw, kind="rational", step=None, lead=None, grid=None, max_terms=12)
     terms = draw(st.integers(min_value=1, max_value=max_terms))
     coeffs = [ZERO] * (terms * step)
     for i in range(terms):
-        coeffs[i * step] = draw(scalar[kind])
-    coeffs[0] = draw(scalar[kind].filter(bool))
+        coeffs[i * step] = draw(values)
+    coeffs[0] = draw(values.filter(bool))
     # cut the window anywhere inside the last stride
     cut = draw(st.integers(min_value=0, max_value=step - 1))
     coeffs = coeffs[:len(coeffs) - cut] or coeffs[:1]
@@ -288,6 +335,83 @@ def test_compose_skips_steps_beyond_the_bound():
     a = PuiseuxSeries.make(1, 0, [QQ(k + 1, k + 2) for k in range(40)], 40)
     b = PuiseuxSeries.make(1, 3, [QQ(1), QQ(-2), QQ(1, 3), QQ(5)], 7)
     assert_same(ps_compose(a, b), ref_compose(a, b))
+
+
+# ---------------------------------------------------------------------------
+# the evaluator, by baby steps and giant steps, against one step per term
+# ---------------------------------------------------------------------------
+
+def assert_horner(c, b, stop):
+    """Values, lead, order and the type of every slot as the loop gives them."""
+    got = _horner(c, b, stop)
+    want = ref_horner(c, b, stop)
+    assert_same(got, want)
+    assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
+    return got
+
+
+@st.composite
+def horner_args(draw, kc, kb):
+    """Up to 42 coefficients and a nonzero argument with lead -3..3 in units
+    of its support step, on grid 1, 2, 7 or 42 and with modest numerators;
+    the window runs from below the anchor to past the last step, so that
+    blocks of k > 1 and partial last blocks occur."""
+    grid = draw(st.sampled_from((1, 2, 7, 42)))
+    step = draw(st.sampled_from((1, grid)))
+    lead = draw(st.integers(min_value=-3, max_value=3)) * step
+    b = draw(series(kb, step, lead=lead, grid=grid, max_terms=6, values=modest[kb]))
+    size = draw(st.integers(min_value=0, max_value=42))
+    c = draw(st.lists(scalar[kc], min_size=size, max_size=size))
+    return c, b, lead + step * draw(st.integers(min_value=-5, max_value=45))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_horner_matches_one_step_loop(data, kc, kb):
+    assert_horner(*data.draw(horner_args(kc, kb)))
+
+
+def make(grid, lead, coeffs):
+    return PuiseuxSeries.make(grid, lead, coeffs, lead + len(coeffs))
+
+
+def test_horner_at_block_boundaries():
+    """K = k*k - 1, k*k and k*k + 1 steps reach the window (k = 4, 5, 5),
+    at rational and Q(w) arguments of valuation 1, 2 and -1."""
+    args = [make(1, 1, [QQ(2), QQ(-1, 3), QQ(5, 7), QQ(1)]),
+            make(1, 1, [Omega(1, 2), QQ(-1, 3), Omega(0, 5)]),
+            make(2, 2, [QQ(3), ZERO, QQ(1, 2), QQ(-4)]),
+            make(1, -1, [QQ(1, 2), Omega(1, -1), QQ(3)])]
+    for n in (24, 25, 26):
+        c = [QQ(j + 1, j + 2) if j % 3 else Omega(j, 1) for j in range(n)]
+        for b in args:
+            # steps 0 .. n-1 reach the window; step n, when present, does not
+            if b.lead > 0:
+                assert_horner(c + [ONE], b, (n - 1) * b.lead + 1)
+            else:
+                assert_horner(c, b, 3)
+
+
+def test_horner_window_that_ends_inside_a_block():
+    # 40 coefficients, but only steps 0 .. 16 reach below 17: k = 4 and the
+    # last block holds one step; at valuation 2 steps 0 .. 13, k = 3
+    c = [QQ(k + 1, k + 2) for k in range(40)]
+    b = make(1, 1, [QQ(1), QQ(-2), QQ(1, 3), QQ(5)])
+    for stop in (17, 18, 19, 20):
+        assert_horner(c, b, stop)
+    b2 = make(1, 2, [QQ(1), QQ(-2), Omega(1, 3), QQ(5)])
+    for stop in (27, 28):
+        assert_horner(c, b2, stop)
+
+
+def test_horner_omega_coefficient_outside_the_window():
+    """An Omega coefficient whose step lies beyond the window leaves a
+    rational result rational, at either sign of the valuation."""
+    rat = [QQ(k + 1, k + 2) for k in range(12)]
+    got = assert_horner(rat + [Omega(1, 1)], make(1, 1, [QQ(1), QQ(-2), QQ(1, 3)]), 12)
+    assert got.coeffs and not any(isinstance(x, Omega) for x in got.coeffs)
+    got = assert_horner([Omega(1, 1), Omega(0, 2)] + rat, make(1, -1, [QQ(2), QQ(1, 5)]), -1)
+    assert got.coeffs and not any(isinstance(x, Omega) for x in got.coeffs)
 
 
 # ---------------------------------------------------------------------------
