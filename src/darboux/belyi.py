@@ -23,6 +23,7 @@ from .ellcurve import (
 from .polyalg import RationalMap, UniPoly, poly, squarefree_multiplicities
 from .report import VerificationReport, failed, passed
 from .scalars import QQ, ONE, Omega, rat
+from .verifier import built_once
 
 __all__ = [
     "BranchingPattern",
@@ -147,27 +148,32 @@ def belyi_certify(phi: RationalMap) -> VerificationReport:
 # covering catalog
 # ---------------------------------------------------------------------------
 
+@built_once
 def phi2_map() -> RationalMap:
     """27x(1-x)^2/(1+3x)^3, the degree-3 dihedral covering."""
     return RationalMap(poly(0, 27) * poly(1, -1) ** 2, poly(1, 3) ** 3)
 
 
+@built_once
 def phi3_tetrahedral() -> RationalMap:
     """x(x+4)^3/(4(2x-1)^3)."""
     return RationalMap(poly(0, 1) * poly(4, 1) ** 3, (poly(-1, 2) ** 3).scale(QQ(4)))
 
 
+@built_once
 def phi4_octahedral() -> RationalMap:
     """108x(x-1)^4/(x^2+14x+1)^3."""
     return RationalMap(poly(0, 108) * poly(-1, 1) ** 4, poly(1, 14, 1) ** 3)
 
 
+@built_once
 def phi5_icosahedral() -> RationalMap:
     """1728x(1-11x-x^2)^5/(1+228x+494x^2-228x^3+x^4)^3, the degree-12 covering."""
     return RationalMap(poly(0, 1728) * poly(1, -11, -1) ** 5,
                        poly(1, 228, 494, -228, 1) ** 3)
 
 
+@built_once
 def Phi3_map() -> RationalMap:
     """1728 x (x-1) F1^7 / (G0^3 G1^3), the degree-24 genus-0 covering."""
     f1 = poly(1, 5, -8, 1)
@@ -180,6 +186,7 @@ def _w(a, b=0):
     return Omega(QQ(a), QQ(b))
 
 
+@built_once
 def phi3_star() -> RationalMap:
     """(24w+8) x^3 G2^3 / ((1-x^3) F2^7) over Q(w)."""
     f2, g2 = phi3_star_parts()

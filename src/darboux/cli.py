@@ -40,11 +40,15 @@ def run_single(check_id: str, order: int) -> dict:
     return _run_checks(f"spec:{check_id}", [check_id], order)
 
 
+def _check_order(order: int):
+    if order < MIN_ORDER:
+        raise ValueError(f"order must be at least {MIN_ORDER}")
+
+
 def _run_checks(label: str, ids, order: int) -> dict:
     """Run the checks one by one; a check that raises is reported as an
     error, its traceback goes to stderr, and the run goes on."""
-    if order < MIN_ORDER:
-        raise ValueError(f"order must be at least {MIN_ORDER}")
+    _check_order(order)
     t0 = time.monotonic()
     results = []
     for cid in ids:
@@ -169,17 +173,17 @@ def main(argv=None) -> int:
         build_parser().print_usage()
         return 2
     try:
-        # opened before any check runs, so that a bad path costs no run
+        if args.spec:
+            catalog.check_anchor(args.spec)      # KeyError for an unknown id
+        _check_order(args.order)
+        # opened after the usage checks, so that they leave an existing file
+        # as it was, and before any check runs, so that a bad path costs no run
         out = open(args.output, "w") if args.output else nullcontext()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (KeyError, ValueError, OSError) as e:
+        print(f"error: {_message(e)}", file=sys.stderr)
         return 2
     with out:
-        try:
-            doc = run_single(args.spec, args.order) if args.spec else run_suite(args.suite, args.order)
-        except (KeyError, ValueError) as e:
-            print(f"error: {_message(e)}", file=sys.stderr)
-            return 2
+        doc = run_single(args.spec, args.order) if args.spec else run_suite(args.suite, args.order)
         if args.output:
             json.dump(doc, out, indent=2, sort_keys=True)
     print(format_text(doc) if args.format == "text" else json.dumps(doc, indent=2, sort_keys=True))

@@ -19,7 +19,7 @@ from .polyalg import RationalMap, UniPoly, poly, rational_roots, resultant
 from .report import Mismatch, VerificationReport, failed, passed
 from .scalars import QQ, ONE, power, rat, scalar_inv
 from .series import PuiseuxSeries, ps_div, ps_pow
-from .verifier import memo
+from .verifier import built_once, memo
 
 __all__ = [
     "Curve",
@@ -301,7 +301,7 @@ def cf(curve: Curve, a_coeffs, b_coeffs=(), den_coeffs=(1,)) -> CurveFunction:
 def local_expansion(curve: Curve, pt, n: int):
     """(u(t), v(t)) at a rational point, exact below t-order n.
 
-    Memoized per (curve, point, depth) in the series memo: the divisor
+    Memoized per (curve, point, depth) in the one memo: the divisor
     checks and the curve charts expand at the same few points again and
     again, and the cost is cubic in the depth.
 
@@ -525,6 +525,7 @@ TABLE1 = table1_functions()
 TABLE2 = table2_functions()
 
 
+@built_once
 def phi7() -> CurveFunction:
     """The degree-24 covering on E7, as a single canonical function."""
     num = cf(E7, (1, -4)) * (cf(E7, (0, 3, -20), (1, -4)) ** 7)
@@ -541,6 +542,7 @@ PHI7_DIVISOR = [
 ]
 
 
+@built_once
 def phi4_on_e4() -> CurveFunction:
     """The degree-24 covering on E4: 512 (w-4p) F5^7 / ((1+w+3p) G5^4)."""
     num = cf(E4, (0, -4), (1,)) * (cf(E4, (1, -16, 7), (-2,)) ** 7) * 512

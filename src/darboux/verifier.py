@@ -12,6 +12,7 @@ unknown coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import wraps
 from math import ceil
 
 from .hypergeom import HpgParams, hpg_series
@@ -26,6 +27,7 @@ __all__ = [
     "IdentitySpec",
     "MIN_ORDER",
     "memo",
+    "built_once",
     "register_chart",
     "chart_series",
     "expand_terms",
@@ -77,23 +79,36 @@ class IdentitySpec:
 MIN_ORDER = 8
 
 
-# -- chart registry and the series memo ----------------------------------------
+# -- chart registry and the memo -----------------------------------------------
 
 _CHARTS: dict = {}
 _MEMO: dict = {}
 
 
 def memo(key, build):
-    """The one series memo: the value of ``build()``, computed once per key.
+    """The one memo: the value of ``build()``, computed once per key.
 
-    Keys end in the exact order a caller asked for.  Builders do not reach
-    exactly that order, so a deeper entry is never truncated to serve a
-    shallower key: that would change the precision a caller sees.  A memoized
-    series is shared and must not be mutated.
+    It holds chart series, curve expansions, the factors of recipe terms and
+    the coverings.  A series key ends in the exact order a caller asked for.
+    Builders do not reach exactly that order, so a deeper entry is never
+    truncated to serve a shallower key: that would change the precision a
+    caller sees.  A covering is exact, so its key (see ``built_once``)
+    carries no order.  A memoized value is shared and must not be mutated.
     """
     if key not in _MEMO:
         _MEMO[key] = build()
     return _MEMO[key]
+
+
+def built_once(build):
+    """The builder of an exact object, made to return one shared object,
+    kept in the memo under the builder's name."""
+    key = (build.__module__, build.__qualname__)
+
+    @wraps(build)
+    def shared():
+        return memo(key, build)
+    return shared
 
 
 def register_chart(name: str, builders: dict):
@@ -125,12 +140,14 @@ def _expand_factor(f, chart: str, target) -> PuiseuxSeries:
 
 
 def expand_terms(terms, chart: str, target) -> PuiseuxSeries:
-    """Exact series of a recipe side at the given chart order."""
+    """Exact series of a recipe side at the given chart order.  Each factor
+    is memoized per (atom, chart, target), so a perturbed spec recomputes
+    only the factor it shifts, and then the products."""
     total = None
     for term in terms:
         acc = None
         for f in term.factors:
-            s = _expand_factor(f, chart, target)
+            s = memo(("factor", f, chart, target), lambda: _expand_factor(f, chart, target))
             acc = s if acc is None else ps_mul(acc, s)
         if acc is None:
             acc = PuiseuxSeries.const(ONE, target)

@@ -179,6 +179,20 @@ def test_unwritable_output_is_a_usage_error_before_any_check(capsys, monkeypatch
     assert str(path) in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--spec", "nosuch"], "error: unknown check 'nosuch'\n"),
+    (["all", "--order", "3"], "error: order must be at least 8\n"),
+])
+def test_usage_error_leaves_an_existing_output_file(capsys, tmp_path, argv, message):
+    path = tmp_path / "r.json"
+    path.write_bytes(b'{"kept": true}\n')
+    assert main(argv + ["--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert path.read_bytes() == b'{"kept": true}\n'
+
+
 def test_dump_with_a_huge_order_is_a_usage_error(capsys):
     assert main(["--dump", "j", "--order", "100000000000000000000"]) == 2
     captured = capsys.readouterr()
