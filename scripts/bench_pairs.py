@@ -12,11 +12,15 @@ seed it runs ``python3 perfbench/run.py --workload W --seed S --seconds 30
 the parent first on even seeds, the change first on odd ones.  Of each run
 it keeps the metrics of the last line of standard output and the number of
 passes in ``perfbench/out/<W>-seed<S>-trace0.json`` of that checkout.  With
-``--all-orders`` it then runs ``darboux all --order N --format json`` K times
-per order in each checkout, alternating which goes first, and keeps the
-wall time, the report's ``duration_ms``, the peak RSS of the process and
-whether the two reports agree (``compare_reports.differences``).  These are
-wall seconds, not scaled by the benchmark's speed probe.
+``--all-orders`` it then runs the suite ``all`` at order N K times per
+order in each checkout, alternating which goes first.  Each run is one
+child process that runs ``run_suite("all", N)`` of that checkout under
+``SpeedProbe(timer=True)`` from its ``perfbench/worker.py``, as a perfbench
+pass runs its operations.  Of each it keeps the CPU seconds scaled to the
+probe's reference speed and raw, the wall time, the report's
+``duration_ms``, the peak RSS of the process and whether the two reports
+agree (``compare_reports.differences``); the ratio of a pair is that of the
+scaled seconds, since wall seconds swing with the machine's speed.
 
 The output holds, per workload and end-to-end metric, the median, the
 quartiles (``statistics.quantiles``) and the runs of each side and the
@@ -79,20 +83,45 @@ def perfbench_run(root: str, workload: str, seed: int) -> dict:
             "passes": len(record["passes"]), "failed": failed}
 
 
+# The child of ``all_run``: argv is the checkout, the order and the output path.
+ALL_CHILD = """
+import json, os, sys
+root, order, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+from worker import SpeedProbe
+from darboux.cli import run_suite
+with SpeedProbe(timer=True) as probe:
+    doc = run_suite("all", order)
+with open(path, "w") as fh:
+    json.dump({"scaled_s": probe.scaled_s, "raw_s": probe.raw_s, "doc": doc}, fh)
+"""
+
+
 def all_run(root: str, order: int, path: str) -> dict:
-    """One ``darboux all`` process: wall seconds, report and peak RSS."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    cmd = [sys.executable, "-m", "darboux", "all", "--order", str(order), "--format", "json",
-           "--output", path]
+    """One ``run_suite("all", order)`` process: probe-scaled and raw CPU
+    seconds, wall seconds, report and peak RSS."""
+    cmd = [sys.executable, "-c", ALL_CHILD, os.path.abspath(root), str(order), path]
     t0 = time.perf_counter()
-    proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    if os.waitstatus_to_exitcode(status):
+        raise RuntimeError(f"all --order {order} failed in {root}")
     wall = time.perf_counter() - t0
     with open(path) as fh:
-        doc = json.load(fh)
-    return {"wall_s": round(wall, 2), "duration_ms": doc["duration_ms"],
-            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "doc": doc}
+        got = json.load(fh)
+    return {"scaled_s": round(got["scaled_s"], 3), "raw_s": round(got["raw_s"], 3),
+            "wall_s": round(wall, 2), "duration_ms": got["doc"]["duration_ms"],
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "doc": got["doc"]}
+
+
+def pair_record(first: str, parent: dict, change: dict) -> dict:
+    """One ``all`` pair from the ``all_run`` records of each side."""
+    return {"first": first,
+            **{f"{s}_{k}": got[k] for s, got in (("parent", parent), ("change", change))
+               for k in ("scaled_s", "raw_s", "wall_s", "duration_ms", "peak_rss_mb")},
+            "ratio": round(change["scaled_s"] / parent["scaled_s"], 3),
+            "wall_ratio": round(change["wall_s"] / parent["wall_s"], 3),
+            "differences": differences(parent["doc"], change["doc"])}
 
 
 def all_pairs(parent: str, change: str, order: int, pairs: int, tmp: str) -> dict:
@@ -103,11 +132,7 @@ def all_pairs(parent: str, change: str, order: int, pairs: int, tmp: str) -> dic
         for side in sides:
             root = parent if side == "parent" else change
             got[side] = all_run(root, order, os.path.join(tmp, f"{side}-{order}-{i}.json"))
-        out.append({"first": sides[0],
-                    **{f"{s}_{k}": got[s][k] for s in ("parent", "change")
-                       for k in ("wall_s", "duration_ms", "peak_rss_mb")},
-                    "ratio": round(got["change"]["wall_s"] / got["parent"]["wall_s"], 3),
-                    "differences": differences(got["parent"]["doc"], got["change"]["doc"])})
+        out.append(pair_record(sides[0], got["parent"], got["change"]))
     return {"pairs": out, "median_ratio": round(statistics.median(p["ratio"] for p in out), 3)}
 
 
@@ -149,10 +174,13 @@ def main(argv=None) -> int:
     }
     if args.all_orders:
         with tempfile.TemporaryDirectory() as tmp:
-            doc["all"] = {"command": "darboux all --order N --format json, one process each, "
-                                     "alternating parent and change; wall_s is the process "
-                                     "wall time, duration_ms the report's, peak_rss_mb the "
-                                     "process's ru_maxrss",
+            doc["all"] = {"command": "run_suite('all', N) under perfbench's "
+                                     "SpeedProbe(timer=True), one process each, alternating "
+                                     "parent and change; scaled_s and raw_s are its CPU "
+                                     "seconds scaled to the probe's reference speed and raw, "
+                                     "wall_s the process wall time, duration_ms the report's, "
+                                     "peak_rss_mb the process's ru_maxrss; ratio is change "
+                                     "over parent in scaled_s",
                           **{f"order_{n}": all_pairs(args.parent, args.change, n,
                                                      args.all_pairs, tmp)
                              for n in args.all_orders}}

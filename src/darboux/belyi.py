@@ -258,8 +258,10 @@ def _relation_phi3_phi7() -> VerificationReport:
     x = e7_to_e4_x()
     p7 = phi7()
     phi3 = Phi3_map()
-    lhs_num = phi3.num(x)
-    lhs_den = phi3.den(x)
+    # both sides of Phi3 homogeneous of one degree: x.den**d cancels
+    d = max(phi3.num.degree, phi3.den.degree)
+    lhs_num = x.homogeneous(phi3.num, d)
+    lhs_den = x.homogeneous(phi3.den, d)
     rhs_num = 27 * p7 * p7
     rhs_den = (4 - p7) ** 3
     if lhs_num * rhs_den == rhs_num * lhs_den:

@@ -235,9 +235,10 @@ class CurveFunction:
                            self.den * self.den)
 
     def inverse(self) -> "CurveFunction":
+        """den/a when there is no v part, else through the conjugate."""
+        if self.b.is_zero():
+            return CurveFunction(self.curve, self.den, UniPoly(), self.a)
         n = self.a * self.a - self.b * self.b * self.curve.rhs
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of the zero function")
         return CurveFunction(self.curve, self.a * self.den, -self.b * self.den, n)
 
     def __truediv__(self, other):
@@ -259,9 +260,26 @@ class CurveFunction:
     def __hash__(self):
         raise TypeError("unhashable (denominators are lazy)")
 
+    def homogeneous(self, p: UniPoly, d: int) -> "CurveFunction":
+        """p(self) * den**d for a polynomial p of degree at most d, with
+        denominator 1: sum_k p_k (a + b v)**k den**(d-k), by Horner on the
+        (a, b) pairs of Q[u] + Q[u] v."""
+        rhs = self.curve.rhs
+        dens = [UniPoly([ONE])]
+        for _ in range(d):
+            dens.append(dens[-1] * self.den)
+        A, B = UniPoly([p[d]]), UniPoly()
+        for k in range(d - 1, -1, -1):
+            A, B = (A * self.a + B * self.b * rhs + dens[d - k].scale(p[k]),
+                    A * self.b + B * self.a)
+        return CurveFunction(self.curve, A, B)
+
     def subst(self, U: "CurveFunction", V: "CurveFunction") -> "CurveFunction":
-        """f(U, V): each polynomial part evaluated at U in the target function field."""
-        return (self.a(U) + self.b(U) * V) / self.den(U)
+        """f(U, V) in the function field of U and V: a, b and den are each
+        homogeneous of one degree d in U, so U.den**d cancels in the quotient."""
+        d = max(self.a.degree, self.b.degree, self.den.degree)
+        a, b, den = (U.homogeneous(p, d) for p in (self.a, self.b, self.den))
+        return (a + b * V) / den
 
     def expand_at(self, pt: AffinePoint, n: int) -> PuiseuxSeries:
         """Local expansion; deepens automatically past high-order cancellation

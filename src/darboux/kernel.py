@@ -5,7 +5,9 @@
 behind ``ps_compose`` and ``UniPoly.eval_series``) and
 ``polyalg.UniPoly.__mul__`` all multiply coefficient lists here; ``series.ps_pow`` raises them to rational powers
 here, by a fraction-free recurrence; ``UniPoly.divmod`` and ``UniPoly.gcd``
-divide them here, by a Newton inverse of the reversed divisor.
+divide them here, by a Newton inverse of the reversed divisor, and
+``UniPoly.gcd`` evaluates rational ones at xi = 2**(8*w) with ``_pack`` and
+reads the digits of one integer gcd back with ``_unpack``.
 
 ``_horner`` takes baby steps and giant steps (Paterson & Stockmeyer 1973).
 Its baby steps are ``_kmul`` products b^i = b^(i-1) * b for i <= k, each

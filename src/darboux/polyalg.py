@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from math import gcd, lcm
 
-from .kernel import _kdivmod, _kmul, _scalars, _vec
+from .kernel import _kdivmod, _kmul, _pack, _scalars, _unpack, _vec
 from .scalars import QQ, ZERO, ONE, power, scalar_inv
 from .series import PuiseuxSeries, _horner, ps_div, ps_mul
 
@@ -141,11 +141,18 @@ class UniPoly:
         return self.scale(scalar_inv(self.lc))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd by Euclid on one integer vector of both operands, each
-        remainder cut to its primitive part (Knuth, TAOCP vol. 2, 4.6.1)."""
+        """Monic gcd.  Two nonzero rational operands go by one integer gcd
+        first (``_heuristic_gcd``); Q(w) operands, and rational ones on
+        which that fails, by Euclid on one integer vector of both operands,
+        each remainder cut to its primitive part (Knuth, TAOCP vol. 2,
+        4.6.1)."""
         n = len(self.coeffs)
         re, im, d = _vec(self.coeffs + other.coeffs)
         a, b = (re[:n], im and im[:n], d), (re[n:], im and im[n:], d)
+        if im is None and a[0] and b[0]:
+            g = _heuristic_gcd(_primitive(a[0]), _primitive(b[0]))
+            if g is not None:
+                return UniPoly(_scalars((g, None, 1))).monic()
         if len(a[0]) < len(b[0]):
             a, b = b, a
         while b[0]:
@@ -180,6 +187,37 @@ class UniPoly:
         else:
             e = self.degree
         return _horner(self.coeffs, s, s.order + (e - 1) * v)
+
+
+def _primitive(v):
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [c // g for c in v]
+
+
+def _heuristic_gcd(a, b):
+    """The primitive gcd of two primitive integer vectors whose last slots
+    are nonzero, or None.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989): with
+    xi = 2**(8*w) > 2*max|c| + 29, the symmetric xi-adic digits of
+    gcd(a(xi), b(xi)) are, cut to their primitive part, the gcd of a and b
+    whenever they divide both.  A failed try widens xi; after four the
+    caller runs Euclid.
+    """
+    w = -(-(2 * max(map(abs, a + b)) + 29).bit_length() // 8)
+    for _ in range(4):
+        h = gcd(_pack(a, w), _pack(b, w))
+        g = _unpack(h, w, h.bit_length() // (8 * w) + 2)
+        while not g[-1]:
+            g.pop()
+        if len(g) <= min(len(a), len(b)):
+            g = _primitive(g)
+            if not (_kdivmod((a, None, 1), (g, None, 1))[1][0]
+                    or _kdivmod((b, None, 1), (g, None, 1))[1][0]):
+                return g
+        w += 1
+    return None
 
 
 def _as_poly(x) -> UniPoly:

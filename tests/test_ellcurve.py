@@ -27,6 +27,7 @@ from darboux.ellcurve import (
     cf,
     ec_mul,
     involution_apply,
+    isogeny_pullback,
     local_expansion,
     phi4_on_e4,
     phi7,
@@ -258,6 +259,86 @@ def test_involution_fixes_isogeny_components():
 def test_involution_inverts_phi7():
     f = phi7()
     assert involution_apply(f) == f.inverse()
+
+
+# ---------------------------------------------------------------------------
+# substitution and inverses
+# ---------------------------------------------------------------------------
+
+def ref_subst(f, U, V):
+    """Oracle: each part of f evaluated at U by a Horner loop in curve
+    function arithmetic, then (a(U) + b(U)*V)/den(U)."""
+    return (f.a(U) + f.b(U) * V) / f.den(U)
+
+
+def ref_inverse(f):
+    """Oracle: 1/f through the conjugate, (a - b v) den / (a^2 - b^2 rhs)."""
+    n = f.a * f.a - f.b * f.b * f.curve.rhs
+    return CurveFunction(f.curve, f.a * f.den, -f.b * f.den, n)
+
+
+coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(QQ)
+part = st.lists(coeff, max_size=4).map(UniPoly)
+nonzero_part = part.filter(bool)
+curves = st.sampled_from((E7, E4))
+
+
+def curve_functions(curve, v_part=True):
+    return st.builds(CurveFunction, st.just(curve), part,
+                     part if v_part else st.just(UniPoly()), nonzero_part)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), curves, curves, st.booleans())
+def test_subst_matches_the_horner_oracle(data, source, target, v_part):
+    """For U with and without a v part; den(U) = 0 raises on both sides."""
+    f = data.draw(curve_functions(source))
+    U = data.draw(curve_functions(target, v_part))
+    V = data.draw(curve_functions(target))
+    try:
+        want = ref_subst(f, U, V)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.subst(U, V)
+        return
+    got = f.subst(U, V)
+    assert got.curve is target
+    assert got == want
+
+
+def test_subst_of_the_table_functions_through_the_isogeny():
+    p = CurveFunction(E7, poly(0, 1), UniPoly(), poly(1, -11, 32))
+    w = CurveFunction(E7, UniPoly(), poly(1, 0, -32), poly(1, -11, 32) ** 2)
+    for _, f, _ in TABLE2:
+        assert f.subst(p, w) == ref_subst(f, p, w)
+
+
+def test_isogeny_pullback_of_phi4_keeps_low_degrees():
+    """The parts of Phi4 have degree at most 31 in p.  Through p = u/c(u),
+    c quadratic, and w = v(1-32u^2)/c(u)^2 they need degree at most 66 in u."""
+    f = isogeny_pullback(phi4_on_e4())
+    assert max(f.a.degree, f.b.degree, f.den.degree) <= 66
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), curves, st.booleans())
+def test_inverse_matches_the_conjugate_form(data, curve, v_part):
+    f = data.draw(curve_functions(curve, v_part))
+    if f.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f.inverse()
+        return
+    g = f.inverse()
+    assert g == ref_inverse(f)
+    assert f * g == 1
+    if not v_part:
+        assert (g.a, g.b, g.den) == (f.den, UniPoly(), f.a)
+
+
+def test_inverse_of_zero_raises():
+    for f in (cf(E7, ()), cf(E4, (), (), (3, 1))):
+        with pytest.raises(ZeroDivisionError):
+            f.inverse()
 
 
 # ---------------------------------------------------------------------------

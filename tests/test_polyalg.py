@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darboux.ellcurve import E7, CurveFunction
-from darboux.scalars import QQ, ZERO, W, Omega, rat, scalar_inv
+from darboux.scalars import QQ, ONE, ZERO, W, Omega, rat, scalar_inv
 from darboux.polyalg import (
     MultiPoly,
     RationalMap,
@@ -282,22 +282,27 @@ def test_gcd_of_constants_and_zero(data, kind):
 @given(st.lists(big, min_size=1, max_size=8), st.lists(big, min_size=1, max_size=8),
        st.lists(big, min_size=2, max_size=4))
 def test_divmod_and_gcd_with_wide_numerators(xs, ys, zs):
-    """Every coefficient has a numerator over 600 bits."""
+    """Every coefficient has a numerator over 600 bits, and so do the
+    unequal contents of the last two gcds."""
     p, q, c = UniPoly(xs), UniPoly(ys), UniPoly(zs)
     assert_divmod(p, q)
     assert_divmod(q, p)
     assert_divmod(p * c, c)
     assert_gcd(p, q)
     assert_gcd(p * c, q * c)
+    assert_gcd((p * c).scale(xs[0]), c.scale(ys[0]))
+    assert_gcd(c.scale(ys[0]), (c * c).scale(zs[0]))
 
 
 def test_gcd_keeps_remainders_primitive(monkeypatch):
     """Each remainder after the first division is a primitive integer vector
     over the denominator 1, so coefficients grow with the degree, not
-    exponentially with the number of steps."""
+    exponentially with the number of steps.  The heuristic is switched off
+    so that the rational operands take the Euclid path."""
     import darboux.polyalg as polyalg_module
     calls = []
     real = polyalg_module._kdivmod
+    monkeypatch.setattr(polyalg_module, "_heuristic_gcd", lambda a, b: None)
     monkeypatch.setattr(polyalg_module, "_kdivmod", lambda a, b: calls.append(b) or real(a, b))
     c = poly(QQ(3, 7), 5, QQ(-2, 9), 1)
     a = c * poly(*(QQ(k * k - 11, k + 2) for k in range(14)))
@@ -306,6 +311,103 @@ def test_gcd_keeps_remainders_primitive(monkeypatch):
     assert len(calls) > 5
     for re, im, d in calls[1:]:
         assert d == 1 and gcd(*re, *(im or ())) == 1
+
+
+# ---------------------------------------------------------------------------
+# the heuristic gcd of rational operands
+# ---------------------------------------------------------------------------
+
+contents = st.fractions(min_value=-10 ** 9, max_value=10 ** 9,
+                        max_denominator=10 ** 6).filter(bool).map(QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys("rational", 6), polys("rational", 6), factors("rational"), contents, contents)
+def test_heuristic_gcd_matches_euclid(a, b, c, ka, kb):
+    """Common factors, coprime pairs, one operand dividing the other,
+    constants and unequal contents."""
+    k = UniPoly([ka])
+    pairs = [(a, b), (a * c, b * c), (a.scale(ka) * c, b.scale(kb) * c),
+             (a * c, a * c + k), (c, a * c), (a * c * c, c.scale(kb)),
+             (k, b * c), (c.scale(ka), c.scale(kb)), (k, UniPoly([kb]))]
+    for p, q in pairs:
+        assert_gcd(p, q)
+        assert_gcd(q, p)
+
+
+def gcd_example():
+    """Rational operands with negative coefficients and the primitive
+    integer vector of their gcd."""
+    c = poly(QQ(3, 7), 5, QQ(-2, 9), 1)
+    a = c * poly(*(QQ(k * k - 11, k + 2) for k in range(14)))
+    b = c * poly(*(QQ(3 * k - 19, 2 * k + 5) for k in range(11)))
+    return a, b, c, [27, 315, -14, 63]
+
+
+def test_heuristic_gcd_answers_without_a_remainder_sequence(monkeypatch):
+    """One integer gcd and two exact divisions, one per operand."""
+    import darboux.polyalg as polyalg_module
+    calls = []
+    real = polyalg_module._kdivmod
+    monkeypatch.setattr(polyalg_module, "_kdivmod", lambda a, b: calls.append(b) or real(a, b))
+    a, b, c, g = gcd_example()
+    assert a.gcd(b) == c.monic()
+    assert [v for v, _, _ in calls] == [g, g]
+
+
+@pytest.mark.parametrize("a, b, width", [
+    (poly(-113, 1) * poly(1, 1), poly(1, 1) * poly(2, 1), 1),       # 2*113 + 29 = 255
+    (poly(-114, 1) * poly(1, 1), poly(1, 1) * poly(2, 1), 2),       # 2*114 + 29 = 257
+    ((poly(-113, 1) * poly(1, 1)).scale(QQ(2 ** 100)),
+     (poly(1, 1) * poly(2, 1)).scale(QQ(3 ** 70, 7)), 1),
+])
+def test_heuristic_slot_is_the_least_above_the_bound(monkeypatch, a, b, width):
+    """xi = 2**(8*w) is the least such power above 2*max|c| + 29, with c
+    the coefficients of the primitive parts: contents are divided out
+    before the operands are evaluated."""
+    import darboux.polyalg as polyalg_module
+    widths = []
+    real = polyalg_module._pack
+    monkeypatch.setattr(polyalg_module, "_pack", lambda v, w: widths.append(w) or real(v, w))
+    assert a.gcd(b) == poly(1, 1)
+    assert widths == [width, width]
+
+
+def test_gcd_of_omega_operands_takes_euclid(monkeypatch):
+    import darboux.polyalg as polyalg_module
+    calls = []
+    monkeypatch.setattr(polyalg_module, "_heuristic_gcd", lambda a, b: calls.append(a) or None)
+    c = UniPoly([Omega(1, 2), Omega(QQ(-1, 3)), ONE])
+    a, b = c * poly(1, 2, 3), c * UniPoly([W, ONE])
+    for p, q in ((a, b), (a, poly(3, 1) * c), (poly(3, 1) * c, b)):
+        got = p.gcd(q)
+        assert got.coeffs == ref_gcd(p, q).coeffs == c.monic().coeffs
+    assert calls == []
+    assert poly(1, 2).gcd(poly(3, 4)) == poly(1)
+    assert len(calls) == 1
+
+
+def test_gcd_falls_back_to_euclid_when_every_try_fails(monkeypatch):
+    """Digits read back one off in slot 0 never divide both operands: every
+    width is tried and Euclid gives the gcd."""
+    import darboux.polyalg as polyalg_module
+    from darboux.polyalg import _heuristic_gcd, _primitive
+    from darboux.kernel import _vec
+    reads, divisions = [], []
+    unpack, kdivmod = polyalg_module._unpack, polyalg_module._kdivmod
+    monkeypatch.setattr(polyalg_module, "_unpack",
+                        lambda h, w, m: reads.append(w) or [x + (not i) for i, x in
+                                                            enumerate(unpack(h, w, m))])
+    monkeypatch.setattr(polyalg_module, "_kdivmod",
+                        lambda a, b: divisions.append(b) or kdivmod(a, b))
+    a, b, c, _ = gcd_example()
+    assert _heuristic_gcd(_primitive(_vec(a.coeffs)[0]), _primitive(_vec(b.coeffs)[0])) is None
+    assert len(reads) == 4 and reads == sorted(set(reads))
+    reads.clear()
+    divisions.clear()
+    assert a.gcd(b).coeffs == ref_gcd(a, b).coeffs == c.monic().coeffs
+    assert len(reads) == 4
+    assert len(divisions) > 5
 
 
 def test_rational_map_reduction_and_eval():
