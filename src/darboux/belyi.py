@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ellcurve import (
-    E7,
+    ISOGENY_P,
+    ISOGENY_W,
     CurveFunction,
     e7_to_e4_x,
     involution_apply,
@@ -192,7 +193,7 @@ def phi3_star() -> RationalMap:
     f2, g2 = phi3_star_parts()
     num = UniPoly([_w(0), _w(0), _w(0), _w(8, 24)]) * g2 ** 3
     den = UniPoly([_w(1), _w(0), _w(0), _w(-1)]) * f2 ** 7
-    return RationalMap(num, den, reduce=False)
+    return RationalMap(num, den)
 
 
 def phi3_star_parts():
@@ -205,8 +206,7 @@ def phi3_star_parts():
 
 def mobius_mu() -> RationalMap:
     """mu(x) = (x + w + 1)/(w(1 - x))."""
-    return RationalMap(UniPoly([_w(1, 1), _w(1)]), UniPoly([_w(0, 1), _w(0, -1)]),
-                       reduce=False)
+    return RationalMap(UniPoly([_w(1, 1), _w(1)]), UniPoly([_w(0, 1), _w(0, -1)]))
 
 
 @dataclass(frozen=True)
@@ -283,11 +283,7 @@ def _relation_phi3_star() -> VerificationReport:
     """phi3*(x) * Phi3(mu(x)) == 1 as rational maps over Q(w), and the starred
     map is a rational function of x^3."""
     star = phi3_star()
-    mu = mobius_mu()
-    phi3 = RationalMap(
-        UniPoly([Omega(c) for c in Phi3_map().num.coeffs]),
-        UniPoly([Omega(c) for c in Phi3_map().den.coeffs]), reduce=False)
-    comp = phi3.compose_rational(mu, reduce=False)
+    comp = Phi3_map().compose_rational(mobius_mu())
     lhs = star.num * comp.num
     rhs = star.den * comp.den
     if (lhs - rhs).is_zero():
@@ -307,8 +303,7 @@ def _relation_involution_phi7() -> VerificationReport:
 
 
 def _relation_isogeny_curve() -> VerificationReport:
-    p = CurveFunction(E7, poly(0, 1), UniPoly(), poly(1, -11, 32))
-    w = CurveFunction(E7, UniPoly(), poly(1, 0, -32), poly(1, -11, 32) ** 2)
+    p, w = ISOGENY_P, ISOGENY_W
     if w * w == p * (1 + 22 * p - 7 * p * p):
         if involution_apply(p) == p and involution_apply(w) == w:
             return passed()

@@ -33,6 +33,10 @@ __all__ = [
     "verify_divisor",
     "isogeny_pullback",
     "involution_apply",
+    "ISOGENY_P",
+    "ISOGENY_W",
+    "INVOLUTION_U",
+    "INVOLUTION_V",
     "torsion_audit",
     "ec_add",
     "ec_mul",
@@ -87,9 +91,6 @@ E4 = Curve("E4", poly(1, 22, -7))
 class AffinePoint:
     u: object
     v: object
-
-    def conjugate(self):
-        return AffinePoint(self.u, -self.v)
 
     def __repr__(self):
         return f"({self.u},{self.v})"
@@ -172,11 +173,6 @@ class CurveFunction:
         self.den = den if isinstance(den, UniPoly) else (UniPoly([ONE]) if den is None else UniPoly([QQ(den)]))
         if self.den.is_zero():
             raise ZeroDivisionError("curve function with zero denominator")
-
-    @staticmethod
-    def from_rational(curve: Curve, A: RationalMap, B: RationalMap) -> "CurveFunction":
-        den = A.den * B.den
-        return CurveFunction(curve, A.num * B.den, B.num * A.den, den)
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
@@ -582,33 +578,27 @@ def e7_to_e4_x() -> CurveFunction:
     return num / den
 
 
+# the 2-isogeny E7 -> E4: p = u/(1-11u+32u^2), w = v(1-32u^2)/(1-11u+32u^2)^2
+ISOGENY_P = CurveFunction(E7, poly(0, 1), UniPoly(), poly(1, -11, 32))
+ISOGENY_W = CurveFunction(E7, UniPoly(), poly(1, 0, -32), poly(1, -11, 32) ** 2)
+
+# the involution of E7: u -> 1/(32u), v -> -v/(32u^2)
+INVOLUTION_U = CurveFunction(E7, poly(1), UniPoly(), poly(0, 32))
+INVOLUTION_V = CurveFunction(E7, UniPoly(), poly(-1), poly(0, 0, 32))
+
+
 def isogeny_pullback(f_on_e4: CurveFunction) -> CurveFunction:
-    """Pull a function on E4 back to E7 through p = u/(1-11u+32u^2),
-    w = v (1-32u^2)/(1-11u+32u^2)^2."""
+    """Pull a function on E4 back to E7 through (ISOGENY_P, ISOGENY_W)."""
     if f_on_e4.curve.name != "E4":
         raise ValueError("pullback expects a function on E4")
-    p_expr = CurveFunction(E7, poly(0, 1), UniPoly(), poly(1, -11, 32))
-    w_expr = CurveFunction(E7, UniPoly(), poly(1, 0, -32), poly(1, -11, 32) ** 2)
-    out = f_on_e4.subst(p_expr, w_expr)
-    return out
+    return f_on_e4.subst(ISOGENY_P, ISOGENY_W)
 
 
 def involution_apply(f: CurveFunction) -> CurveFunction:
-    """Substitute (u, v) -> (1/(32u), -v/(32u^2)) on E7."""
+    """f at (INVOLUTION_U, INVOLUTION_V) on E7."""
     if f.curve.name != "E7":
         raise ValueError("the involution lives on E7")
-
-    def at_inv_u(p: UniPoly) -> RationalMap:
-        # p(1/(32u)) = [sum_j a_{d-j} (32u)^j] / (32u)^d
-        d = p.degree
-        if d < 0:
-            return RationalMap(UniPoly())
-        num = UniPoly([p[d - j] * QQ(32) ** j for j in range(d + 1)])
-        return RationalMap(num, poly(0, 32) ** d)
-
-    A = at_inv_u(f.a) / at_inv_u(f.den)
-    B = (at_inv_u(f.b) * RationalMap(poly(-1), poly(0, 0, 32))) / at_inv_u(f.den)
-    return CurveFunction.from_rational(E7, A, B)
+    return f.subst(INVOLUTION_U, INVOLUTION_V)
 
 
 # ---------------------------------------------------------------------------

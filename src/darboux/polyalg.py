@@ -72,9 +72,10 @@ class UniPoly:
 
     # -- ring ops ---------------------------------------------------------
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[k] + other[k] for k in range(n)])
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return UniPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -330,27 +331,26 @@ def _divisors(n: int):
 
 
 class RationalMap:
-    """Quotient num/den of exact polynomials, kept coprime with monic den."""
+    """Quotient num/den of exact polynomials, always coprime with monic den
+    (den 1 for the zero map)."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: UniPoly, den: UniPoly = None, reduce: bool = True):
+    def __init__(self, num: UniPoly, den: UniPoly = None):
         den = UniPoly([ONE]) if den is None else den
         if den.is_zero():
             raise ZeroDivisionError("rational map with zero denominator")
-        if reduce and num and den.degree > 0:
+        if not num:
+            den = UniPoly([ONE])
+        elif den.degree > 0:
             g = num.gcd(den)
             if g.degree > 0:
                 num, den = num.divexact(g), den.divexact(g)
-        if not den.is_zero() and den.lc != ONE:
+        if den.lc != ONE:
             inv = scalar_inv(den.lc)
             num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
-
-    @property
-    def degree(self) -> int:
-        return max(self.num.degree, self.den.degree)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMap):
@@ -363,32 +363,9 @@ class RationalMap:
     def __repr__(self):
         return f"({self.num!r})/({self.den!r})"
 
-    def __add__(self, other):
-        other = other if isinstance(other, RationalMap) else RationalMap(_as_poly(other))
-        return RationalMap(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalMap(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, RationalMap) else RationalMap(_as_poly(other))))
-
     def __mul__(self, other):
         other = other if isinstance(other, RationalMap) else RationalMap(_as_poly(other))
         return RationalMap(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = other if isinstance(other, RationalMap) else RationalMap(_as_poly(other))
-        return RationalMap(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RationalMap(self.den ** (-n), self.num ** (-n))
-        return RationalMap(self.num ** n, self.den ** n, reduce=False)
 
     def __call__(self, x):
         return self.num(x) / self.den(x)
@@ -396,25 +373,22 @@ class RationalMap:
     def eval_series(self, s: PuiseuxSeries) -> PuiseuxSeries:
         return ps_div(self.num.eval_series(s), self.den.eval_series(s))
 
-    def compose_rational(self, other: "RationalMap", reduce: bool = True) -> "RationalMap":
-        """self(other) by homogeneous evaluation, exact for any degrees."""
+    def compose_rational(self, other: "RationalMap") -> "RationalMap":
+        """self(p/q) with q**d cancelled, d the larger degree of self: num
+        and den each as sum_k f_k p**k q**(d-k), by Horner."""
         p, q = other.num, other.den
         d = max(self.num.degree, self.den.degree)
-        powers_p = [UniPoly([ONE])]
-        powers_q = [UniPoly([ONE])]
+        qs = [UniPoly([ONE])]
         for _ in range(d):
-            powers_p.append(powers_p[-1] * p)
-            powers_q.append(powers_q[-1] * q)
+            qs.append(qs[-1] * q)
 
-        def lift(f: UniPoly) -> UniPoly:
-            out = UniPoly()
-            for k in range(f.degree + 1):
-                c = f[k]
-                if c:
-                    out = out + (powers_p[k] * powers_q[d - k]).scale(c)
+        def homogeneous(f: UniPoly) -> UniPoly:
+            out = UniPoly([f[d]])
+            for k in range(d - 1, -1, -1):
+                out = out * p + qs[d - k].scale(f[k])
             return out
 
-        return RationalMap(lift(self.num), lift(self.den), reduce=reduce)
+        return RationalMap(homogeneous(self.num), homogeneous(self.den))
 
 
 class MultiPoly:

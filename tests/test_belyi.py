@@ -3,8 +3,9 @@ and the composition relations among the coverings."""
 
 import pytest
 
-from darboux.polyalg import RationalMap, poly
-from darboux.scalars import QQ, rat
+from darboux import belyi, ellcurve
+from darboux.polyalg import RationalMap, UniPoly, poly
+from darboux.scalars import ONE, QQ, ZERO, rat
 from darboux.belyi import (
     COVERINGS,
     P1_MAPS,
@@ -19,7 +20,16 @@ from darboux.belyi import (
     rh_genus_cover,
     verify_cover_relation,
 )
-from darboux.ellcurve import T_CLUSTER, V_CLUSTER, phi4_on_e4, phi7
+from darboux.ellcurve import (
+    INVOLUTION_U,
+    ISOGENY_P,
+    ISOGENY_W,
+    T_CLUSTER,
+    V_CLUSTER,
+    CurveFunction,
+    phi4_on_e4,
+    phi7,
+)
 
 
 def passport(p):
@@ -115,6 +125,66 @@ def test_cover_relation_involution():
 
 def test_cover_relation_isogeny_curve():
     assert verify_cover_relation("rel-isogeny-curve").ok
+
+
+def bumped(p, k):
+    """p with 1 added to its coefficient of u^k."""
+    cs = list(p.coeffs) + [ZERO] * (k + 1 - len(p.coeffs))
+    cs[k] = cs[k] + ONE
+    return UniPoly(cs)
+
+
+def curve_function_bumps(f):
+    """f with one coefficient of a, b or den raised by 1, for every power
+    up to one above the part's degree."""
+    for name in ("a", "b", "den"):
+        for k in range(getattr(f, name).degree + 2):
+            parts = {"a": f.a, "b": f.b, "den": f.den}
+            parts[name] = bumped(parts[name], k)
+            yield CurveFunction(f.curve, parts["a"], parts["b"], parts["den"])
+
+
+def map_bumps(r, powers):
+    """r with one coefficient of num or den raised by 1, at each power in
+    powers."""
+    for k in powers:
+        yield RationalMap(bumped(r.num, k), r.den)
+        yield RationalMap(r.num, bumped(r.den, k))
+
+
+def assert_relation_fails(relation_id, monkeypatch, module, name, values):
+    """Each value in place of module.name makes the relation fail."""
+    values = list(values)
+    assert values
+    for value in values:
+        monkeypatch.setattr(module, name, value)
+        assert verify_cover_relation(relation_id).status == "fail", (name, value)
+    monkeypatch.undo()
+    assert verify_cover_relation(relation_id).ok
+
+
+def test_involution_relation_fails_with_a_changed_u(monkeypatch):
+    assert_relation_fails("rel-involution-phi7", monkeypatch, ellcurve, "INVOLUTION_U",
+                          curve_function_bumps(INVOLUTION_U))
+
+
+def test_isogeny_curve_relation_fails_with_a_changed_p_or_w(monkeypatch):
+    assert_relation_fails("rel-isogeny-curve", monkeypatch, belyi, "ISOGENY_W",
+                          curve_function_bumps(ISOGENY_W))
+    assert_relation_fails("rel-isogeny-curve", monkeypatch, belyi, "ISOGENY_P",
+                          curve_function_bumps(ISOGENY_P))
+
+
+def test_phi3_star_relation_fails_with_a_changed_mu(monkeypatch):
+    maps = map_bumps(mobius_mu(), (0, 1))
+    assert_relation_fails("rel-phi3-star", monkeypatch, belyi, "mobius_mu",
+                          [lambda r=r: r for r in maps])
+
+
+def test_phi3_star_relation_fails_with_a_changed_phi3_star(monkeypatch):
+    maps = map_bumps(phi3_star(), (0, 1, 3, 21, 24))
+    assert_relation_fails("rel-phi3-star", monkeypatch, belyi, "phi3_star",
+                          [lambda r=r: r for r in maps])
 
 
 def test_unknown_relation():

@@ -288,6 +288,38 @@ def curve_functions(curve, v_part=True):
                      part if v_part else st.just(UniPoly()), nonzero_part)
 
 
+def ref_involution(f):
+    """Oracle: (u, v) -> (1/(32u), -v/(32u^2)) by reversing each part,
+    p(1/(32u)) = sum_j p_{d-j} (32u)^j / (32u)^d, and combining the three
+    quotients in curve-function arithmetic."""
+    def at_inv_u(p):
+        d = p.degree
+        return (UniPoly([p[d - j] * QQ(32) ** j for j in range(d + 1)]),
+                poly(0, 32) ** max(d, 0))
+
+    (an, ad), (bn, bd), (dn, dd) = (at_inv_u(p) for p in (f.a, f.b, f.den))
+    num = (CurveFunction(E7, an, UniPoly(), ad)
+           + CurveFunction(E7, UniPoly(), -bn, bd * poly(0, 0, 32)))
+    return num * CurveFunction(E7, dd, UniPoly(), dn)
+
+
+nonzero_coeff = st.builds(lambda sign, x: QQ(sign * x), st.sampled_from((1, -1)),
+                          st.fractions(min_value=rat(1, 4), max_value=5, max_denominator=4))
+proper_part = st.builds(lambda low, top: UniPoly(low + [top]),
+                        st.lists(coeff, min_size=1, max_size=3), nonzero_coeff)
+
+
+@settings(max_examples=100, deadline=None)
+@given(part, proper_part, proper_part)
+def test_involution_matches_the_reversal_oracle(a, b, den):
+    """On E7 functions with a v part and a denominator of degree 1-3."""
+    f = CurveFunction(E7, a, b, den)
+    got = involution_apply(f)
+    assert got.curve is E7
+    assert got == ref_involution(f)
+    assert involution_apply(got) == f
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data(), curves, curves, st.booleans())
 def test_subst_matches_the_horner_oracle(data, source, target, v_part):

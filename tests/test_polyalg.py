@@ -3,6 +3,8 @@
 ``ref_divmod`` and ``ref_gcd`` are the former coefficient loops of
 ``UniPoly.divmod`` and ``UniPoly.gcd`` (long division and Euclid's algorithm
 on exact scalars); the kernel versions must give the same polynomials.
+``ref_compose`` is the former ``RationalMap.compose_rational``, a sum over
+lists of the powers of both parts of the inner map.
 """
 
 from math import gcd
@@ -55,6 +57,26 @@ def ref_gcd(p, q):
         if not b.is_zero():
             b = b.monic()
     return a.monic() if not a.is_zero() else a
+
+
+def ref_compose(f, g):
+    """(num, den) of f(g), unreduced: each part of f as
+    sum_k c_k p**k q**(d-k) from the power lists of p = g.num and q = g.den."""
+    p, q = g.num, g.den
+    d = max(f.num.degree, f.den.degree)
+    powers_p, powers_q = [UniPoly([ONE])], [UniPoly([ONE])]
+    for _ in range(d):
+        powers_p.append(powers_p[-1] * p)
+        powers_q.append(powers_q[-1] * q)
+
+    def lift(h):
+        out = UniPoly()
+        for k in range(h.degree + 1):
+            if h[k]:
+                out = out + (powers_p[k] * powers_q[d - k]).scale(h[k])
+        return out
+
+    return lift(f.num), lift(f.den)
 
 
 def expand_product(factors):
@@ -199,6 +221,15 @@ scalar = {
     "omega": st.one_of(omega, st.just(ZERO)),
     "mixed": st.one_of(small, omega, st.just(ZERO)),
 }
+nonzero_small = st.builds(lambda sign, x: QQ(sign * x), st.sampled_from((1, -1)),
+                          st.fractions(min_value=QQ(1, 7), max_value=9, max_denominator=7))
+nonzero_omega = st.one_of(st.builds(Omega, nonzero_small, small),
+                          st.builds(Omega, small, nonzero_small))
+nonzero = {
+    "rational": nonzero_small,
+    "omega": nonzero_omega,
+    "mixed": st.one_of(nonzero_small, nonzero_omega),
+}
 kinds = st.sampled_from(("rational", "omega", "mixed"))
 
 
@@ -209,7 +240,7 @@ def polys(kind, max_terms=9):
 def factors(kind, max_terms=3):
     """A polynomial of degree at least 1."""
     return st.tuples(st.lists(scalar[kind], min_size=1, max_size=max_terms),
-                     scalar[kind].filter(bool)).map(lambda t: UniPoly(t[0] + [t[1]]))
+                     nonzero[kind]).map(lambda t: UniPoly(t[0] + [t[1]]))
 
 
 def assert_omega_exactly(results, *operands):
@@ -433,6 +464,42 @@ def test_rational_map_compose_rational():
     f = RationalMap(poly(0, 1), poly(1, -1))
     g = RationalMap(poly(0, 0, 1))
     assert f.compose_rational(g) == RationalMap(poly(0, 0, 1), poly(1, 0, -1))
+
+
+def rational_maps(kind):
+    """num/den with den nonzero, of degree 0-4 each."""
+    return st.builds(lambda num, lead, den: RationalMap(num, UniPoly(den + [lead])),
+                     polys(kind, 5), nonzero[kind], st.lists(scalar[kind], max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_compose_rational_matches_the_power_lists(data, kf, kg):
+    """The same canonical map as the power-list sum, or ZeroDivisionError on
+    both sides where the denominator of f(g) vanishes."""
+    f, g = data.draw(rational_maps(kf)), data.draw(rational_maps(kg))
+    num, den = ref_compose(f, g)
+    if den.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f.compose_rational(g)
+        return
+    got, want = f.compose_rational(g), RationalMap(num, den)
+    assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+    assert got.den.lc == ONE and got.num.gcd(got.den).degree == 0
+
+
+def test_rational_map_over_qw_comes_back_reduced():
+    """A common factor of num and den over Q(w) is cancelled and den made
+    monic, as for rational maps; the zero map gets den 1."""
+    common = UniPoly([W, QQ(2)]) * UniPoly([QQ(1), QQ(-1), W.conjugate()])
+    num, den = UniPoly([QQ(3), W]), UniPoly([W, QQ(0), Omega(2, 5)])
+    c = Omega(-1, 3)
+    r = RationalMap(num * common, (den * common).scale(c))
+    assert r.den.coeffs == den.monic().coeffs
+    assert r.num.coeffs == num.scale(scalar_inv(c * den.lc)).coeffs
+    assert r.num.gcd(r.den).degree == 0
+    zero = RationalMap(UniPoly(), den)
+    assert zero.num.is_zero() and zero.den.coeffs == (ONE,)
 
 
 def test_rational_roots():
