@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Plant known faults in a copy of the checkout and run the tests that must
+catch them.
+
+Usage: python scripts/mutants.py
+
+Each entry of ``MUTANTS`` names a file, the exact old text, the new text and
+the pytest node ids that must fail once the new text replaces the old.  The
+runner copies the checkout to a temporary directory.  It checks that every
+old text occurs exactly once in its file, and that every named node passes
+on the unchanged copy.  Then it plants one mutant at a time, runs each of
+its nodes alone in a pytest process cut after ``LIMIT`` seconds, and puts
+the file back.  A node cut by the limit counts as failed: hypothesis
+shrinking on a broken evaluator, or a loop a fault keeps going, can run for
+minutes.  A mutant is killed when all of its nodes fail.
+
+It prints one line per mutant.  The exit code is 0 when every mutant is
+killed, and 1 when a mutant survives, an old text does not occur exactly
+once, or a node fails on the unchanged copy.  The script is not part of
+tier-1, since it runs each node in a process of its own.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIMIT = 120                 # seconds per node
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+
+_MEMO_KEY = 'memo(("factor", f, chart, target)'
+_CONTROLS = "tests/test_memo.py::test_control_report_is_the_same_on_a_cold_and_a_warm_memo"
+_TRACE = "tests/test_src_callers.py::test_every_function_is_entered_or_allowed"
+
+MUTANTS = [
+    {"name": "factor memo key without the exponent",
+     "file": "src/darboux/verifier.py",
+     "old": _MEMO_KEY,
+     "new": 'memo(("factor", getattr(f, "name", f), chart, target)',
+     "nodes": [f"{_CONTROLS}[{sid}]" for sid in ("dihedral-2", "rewritten-3A-1", "thm-omega-1",
+                                                 "thm-7A-1", "thm-4B-1", "h7-prod")]
+     + ["tests/test_memo.py::test_chart_entries_agree_across_build_orders"]},
+    {"name": "factor memo key without the target",
+     "file": "src/darboux/verifier.py",
+     "old": _MEMO_KEY,
+     "new": 'memo(("factor", f, chart)',
+     "nodes": ["tests/test_memo.py::test_factor_keys_end_in_their_target",
+               "tests/test_memo.py::test_a_factor_is_expanded_to_the_target_asked_for"]},
+    {"name": "factor memo key without the chart",
+     "file": "src/darboux/verifier.py",
+     "old": _MEMO_KEY,
+     "new": 'memo(("factor", f, target)',
+     "nodes": ["tests/test_memo.py::test_factor_keys_end_in_their_target",
+               "tests/test_memo.py::test_a_factor_is_expanded_in_the_chart_asked_for",
+               "tests/test_memo.py::test_chart_entries_agree_across_build_orders"]},
+    # a method whose name other classes also define: a scan by name counts it as called
+    {"name": "RationalMap.conjugate that nothing calls",
+     "file": "src/darboux/polyalg.py",
+     "old": "    def eval_series(self, s: PuiseuxSeries) -> PuiseuxSeries:\n"
+            "        return ps_div(",
+     "new": "    def conjugate(self):\n        return self\n\n"
+            "    def eval_series(self, s: PuiseuxSeries) -> PuiseuxSeries:\n"
+            "        return ps_div(",
+     "nodes": [_TRACE]},
+    {"name": "trace without the --spec entry point, which alone enters run_single",
+     "file": "tests/test_src_callers.py",
+     "old": '    ["--spec", "thm-7A-1", "--order", "8", "--format", "json"],\n',
+     "new": "",
+     "nodes": [_TRACE]},
+]
+
+
+def run_nodes(root: Path, nodes, limit) -> str:
+    """'passed', 'failed' or 'timeout' for one pytest run of the nodes in
+    root, importing the package from root/src and writing no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        p for p in [str(root / "src"), os.environ.get("PYTHONPATH", "")] if p))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               *nodes], cwd=root, env=env, capture_output=True, timeout=limit)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if proc.returncode == 0 else "failed"
+
+
+def run(root: Path, mutants, limit=LIMIT):
+    """One line per problem and per mutant, and whether all were killed."""
+    lines, ok = [], True
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(root, copy, ignore=IGNORE)
+        live = []
+        for m in mutants:
+            n = (copy / m["file"]).read_text().count(m["old"])
+            if n != 1:
+                lines.append(f"stale: {m['name']}: old text found {n} times in {m['file']}")
+                ok = False
+            else:
+                live.append(m)
+        nodes = sorted({node for m in live for node in m["nodes"]})
+        if nodes and run_nodes(copy, nodes, limit * len(nodes)) != "passed":
+            lines.append("unmutated: the named nodes do not all pass on the unchanged copy")
+            return lines, False
+        for m in live:
+            path = copy / m["file"]
+            text = path.read_text()
+            path.write_text(text.replace(m["old"], m["new"]))
+            try:
+                outcomes = {node: run_nodes(copy, [node], limit) for node in m["nodes"]}
+            finally:
+                path.write_text(text)
+            passed = [node for node, o in outcomes.items() if o == "passed"]
+            if passed:
+                lines.append(f"survived: {m['name']}: passes {', '.join(passed)}")
+                ok = False
+            else:
+                cut = sum(o == "timeout" for o in outcomes.values())
+                lines.append(f"killed: {m['name']}: all {len(outcomes)} nodes fail"
+                             + (f", {cut} cut after {limit} s" if cut else ""))
+    return lines, ok
+
+
+def main() -> int:
+    lines, ok = run(ROOT, MUTANTS)
+    for line in lines:
+        print(line)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

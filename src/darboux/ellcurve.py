@@ -223,9 +223,6 @@ class CurveFunction:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "CurveFunction":
-        return CurveFunction(self.curve, self.a, -self.b, self.den)
-
     def norm_map(self) -> RationalMap:
         return RationalMap(self.a * self.a - self.b * self.b * self.curve.rhs,
                            self.den * self.den)
@@ -240,9 +237,6 @@ class CurveFunction:
     def __truediv__(self, other):
         return self * self._lift(other).inverse()
 
-    def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -252,9 +246,6 @@ class CurveFunction:
         other = self._lift(other)
         return ((self.a * other.den - other.a * self.den).is_zero()
                 and (self.b * other.den - other.b * self.den).is_zero())
-
-    def __hash__(self):
-        raise TypeError("unhashable (denominators are lazy)")
 
     def homogeneous(self, p: UniPoly, d: int) -> "CurveFunction":
         """p(self) * den**d for a polynomial p of degree at most d, with

@@ -85,9 +85,6 @@ class UniPoly:
     def __sub__(self, other):
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             a, b = self.coeffs, other.coeffs
@@ -126,9 +123,6 @@ class UniPoly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def divexact(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -352,23 +346,8 @@ class RationalMap:
         self.num = num
         self.den = den
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalMap):
-            other = RationalMap(_as_poly(other))
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __repr__(self):
         return f"({self.num!r})/({self.den!r})"
-
-    def __mul__(self, other):
-        other = other if isinstance(other, RationalMap) else RationalMap(_as_poly(other))
-        return RationalMap(self.num * other.num, self.den * other.den)
-
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
 
     def eval_series(self, s: PuiseuxSeries) -> PuiseuxSeries:
         return ps_div(self.num.eval_series(s), self.den.eval_series(s))
@@ -411,12 +390,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import isqrt, lcm
 
 from .kernel import _kdot, _kmul, _kpow, _reduced, _scalars, _unit_inverse, _vec
-from .scalars import QQ, ZERO, ONE, scalar_inv
+from .scalars import QQ, ZERO, ONE
 
 __all__ = [
     "PuiseuxSeries",
@@ -160,16 +160,6 @@ class PuiseuxSeries:
         body = " + ".join(parts) if parts else "0"
         return f"<series {body} + O(z^{self.order_exponent})>"
 
-    def __eq__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        if self.order_exponent != other.order_exponent:
-            return False
-        return first_mismatch(self, other) is None
-
-    def __hash__(self):
-        return hash((self.order_exponent, tuple(self.terms())))
-
     # -- grid handling ----------------------------------------------------
     def to_grid(self, grid: int) -> "PuiseuxSeries":
         if grid == self.grid:
@@ -217,11 +207,6 @@ class PuiseuxSeries:
         return self.scale(other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            return ps_div(self, other)
-        return self.scale(scalar_inv(other))
 
     def truncate(self, order_exp) -> "PuiseuxSeries":
         n = _exp_to_grid_floorplus(order_exp, self.grid)

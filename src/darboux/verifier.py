@@ -117,6 +117,8 @@ def register_chart(name: str, builders: dict):
 
 def chart_series(chart: str, name: str, n: int) -> PuiseuxSeries:
     """The named series of a chart, known below exponent n (a whole number)."""
+    if chart not in _CHARTS:
+        raise KeyError(f"unknown chart {chart!r}")
     builders = _CHARTS[chart]
     if name not in builders:
         raise KeyError(f"no series {name!r} in chart {chart!r}")

@@ -95,6 +95,7 @@ def test_dump_with_a_negative_order_is_a_usage_error(capsys, name, order):
 @pytest.mark.parametrize("argv,line", [
     (["--spec", "nosuch", "--order", "12"], "error: unknown check 'nosuch'\n"),
     (["--dump", "x:nosuch", "--order", "10"], "error: no series 'nosuch' in chart 'x'\n"),
+    (["--dump", "zz:E4", "--order", "10"], "error: unknown chart 'zz'\n"),
 ])
 def test_unknown_name_message_has_no_stray_quotes(capsys, argv, line):
     assert main(argv) == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from darboux.scalars import QQ, rat
 from darboux.series import first_mismatch
-from darboux.polyalg import UniPoly, poly
+from darboux.polyalg import RationalMap, UniPoly, poly
 from darboux.ellcurve import (
     E4,
     E7,
@@ -115,9 +115,9 @@ def test_norm_multiplicativity(a0, a1, b0, c0, c1, d0):
     g = cf(E7, (c0, c1), (d0,))
     if f.is_zero() or g.is_zero():
         return
-    lhs = (f * g).norm_map()
-    rhs = f.norm_map() * g.norm_map()
-    assert lhs == rhs
+    m, n, fg = f.norm_map(), g.norm_map(), (f * g).norm_map()
+    prod = RationalMap(m.num * n.num, m.den * n.den)
+    assert (fg.num, fg.den) == (prod.num, prod.den)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_divisor_cluster_branch_sensitivity():
     # G3's divisor with the conjugate branch stated must fail the unit test
     name, f, divisor = TABLE1[9]
     assert name == "G3"
-    conj = f.conjugate()
+    conj = CurveFunction(f.curve, f.a, -f.b, f.den)
     assert not verify_divisor(E7, conj, divisor).ok
 
 
@@ -168,7 +168,7 @@ def test_cluster_content_handles_norms():
     # order 1 on both branches, no split needed
     from darboux.ellcurve import _cluster_split
     f = cf(E7, (1, -10, 16), (2,))
-    both = f * f.conjugate()
+    both = f * CurveFunction(E7, f.a, -f.b, f.den)
     assert _cluster_split(E7, both.a, both.b, U_CLUSTER) == (1, 1)
 
 

@@ -8,6 +8,7 @@ from darboux import belyi, ellcurve, verifier
 from darboux.catalog import IDENTITY_BY_ID
 from darboux.cli import run_suite
 from darboux.modular import qseries
+from darboux.polyalg import RationalMap
 from darboux.series import PuiseuxSeries, first_mismatch, ps_pow
 from darboux.verifier import (
     Hpg,
@@ -93,7 +94,10 @@ def test_covering_is_built_once(build):
     verifier._MEMO.clear()
     again = build()
     assert again is not first
-    assert again == first
+    if isinstance(first, RationalMap):      # canonical, with no __eq__
+        assert (again.num, again.den) == (first.num, first.den)
+    else:
+        assert again == first
     assert build() is again
 
 

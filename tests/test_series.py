@@ -19,6 +19,7 @@ from darboux.series import (
     ps_mul,
     ps_pow,
 )
+from test_kernel import assert_same
 
 
 def S(pairs, order, grid=1):
@@ -231,6 +232,18 @@ def test_omega_division():
     assert 1 / (1 - 2 * W) == (1 - 2 * W.conjugate()) / 7
 
 
+def test_omega_values_are_immutable():
+    with pytest.raises(AttributeError):
+        W.a = 1
+    assert (W.a, W.b) == (0, 1)
+
+
+def test_omega_hash_agrees_with_equal_rationals():
+    for x in (QQ(0), QQ(3), QQ(-5, 7)):
+        assert Omega(x) == x and hash(Omega(x)) == hash(x)
+    assert {QQ(2): "two"}[Omega(2)] == "two"
+
+
 # ---------------------------------------------------------------------------
 # Property suites (>= 200 randomized cases each)
 # ---------------------------------------------------------------------------
@@ -252,9 +265,9 @@ def series_strategy(draw, min_lead=-4, unit=False, grid_choices=(1, 2, 3)):
 @settings(max_examples=220, deadline=None)
 @given(series_strategy(), series_strategy(), series_strategy())
 def test_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert ps_mul(a, b) == ps_mul(b, a)
-    assert (a + b) + c == a + (b + c)
+    assert_same(a + b, b + a)
+    assert_same(ps_mul(a, b), ps_mul(b, a))
+    assert_same((a + b) + c, a + (b + c))
     assert first_mismatch(ps_mul(ps_mul(a, b), c), ps_mul(a, ps_mul(b, c))) is None
     assert first_mismatch(ps_mul(a, b + c), ps_mul(a, b) + ps_mul(a, c)) is None
 
