@@ -36,6 +36,11 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_c
 _MEMO_KEY = 'memo(("factor", f, chart, target)'
 _CONTROLS = "tests/test_memo.py::test_control_report_is_the_same_on_a_cold_and_a_warm_memo"
 _TRACE = "tests/test_src_callers.py::test_every_function_is_entered_or_allowed"
+_RESULTANT = ["tests/test_polyalg.py::test_resultant_matches_the_sylvester_determinant",
+              "tests/test_second_opinion.py::test_resultant_matches_sympy"]
+_HOMOGENEOUS = ["tests/test_polyalg.py::test_homogeneous_matches_a_sum_of_pair_powers",
+                "tests/test_ellcurve.py::test_subst_matches_the_horner_oracle",
+                "tests/test_belyi.py::test_cover_relation_phi3_phi7"]
 
 MUTANTS = [
     {"name": "factor memo key without the exponent",
@@ -72,6 +77,34 @@ MUTANTS = [
      "old": '    ["--spec", "thm-7A-1", "--order", "8", "--format", "json"],\n',
      "new": "",
      "nodes": [_TRACE]},
+    {"name": "resultant without the sign factor",
+     "file": "src/darboux/polyalg.py",
+     "old": "out = out * (-1) ** (m * n) * q.lc",
+     "new": "out = out * q.lc",
+     "nodes": _RESULTANT + ["tests/test_polyalg.py::test_resultant_sign_with_the_lower_degree_first"]},
+    {"name": "resultant with the power of lc(q) one too high",
+     "file": "src/darboux/polyalg.py",
+     "old": "q.lc ** (m - r.degree)",
+     "new": "q.lc ** (m - r.degree + 1)",
+     "nodes": _RESULTANT},
+    {"name": "homogeneous Horner one power of q short",
+     "file": "src/darboux/polyalg.py",
+     "old": "qs[d - k].scale(f[k])",
+     "new": "qs[d - k - 1].scale(f[k])",
+     "nodes": _HOMOGENEOUS
+     + ["tests/test_polyalg.py::test_compose_rational_matches_the_power_lists"]},
+    {"name": "homogeneous Horner without v**2 = rhs",
+     "file": "src/darboux/polyalg.py",
+     "old": "brhs = b * rhs",
+     "new": "brhs = b",
+     "nodes": _HOMOGENEOUS},
+    {"name": "divisor_norm with each pole one order too high",
+     "file": "src/darboux/ellcurve.py",
+     "old": "den = den * m ** -c",
+     "new": "den = den * m ** (1 - c)",
+     "nodes": ["tests/test_ellcurve.py::test_divisor_norm_of_the_covering_divisors",
+               "tests/test_ellcurve.py::test_phi7_divisor",
+               "tests/test_ellcurve.py::test_phi4_divisor"]},
 ]
 
 

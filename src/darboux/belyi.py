@@ -260,8 +260,7 @@ def _relation_phi3_phi7() -> VerificationReport:
     phi3 = Phi3_map()
     # both sides of Phi3 homogeneous of one degree: x.den**d cancels
     d = max(phi3.num.degree, phi3.den.degree)
-    lhs_num = x.homogeneous(phi3.num, d)
-    lhs_den = x.homogeneous(phi3.den, d)
+    lhs_num, lhs_den = x.homogeneous((phi3.num, phi3.den), d)
     rhs_num = 27 * p7 * p7
     rhs_den = (4 - p7) ** 3
     if lhs_num * rhs_den == rhs_num * lhs_den:

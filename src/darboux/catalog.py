@@ -39,10 +39,9 @@ from .ellcurve import (
     PHI7_DIVISOR,
     TABLE1,
     TABLE2,
-    T_CLUSTER,
-    V_CLUSTER,
     CurveFunction,
     cf,
+    divisor_norm,
     phi4_on_e4,
     phi7,
     torsion_audit,
@@ -170,7 +169,6 @@ def _curve_chart(curve, functions):
 
 def _t7_chart():
     fns = {name: f for name, f, _ in TABLE1}
-    fns["u"] = cf(E7, (0, 1))
     fns["v"] = cf(E7, (), (1,))
     fns["one_minus_4u"] = fns.pop("1-4u")
     fns["one_minus_8u"] = fns.pop("1-8u")
@@ -700,14 +698,12 @@ def _genus1_pattern_check(which):
     def run(order):
         if which == "Phi7":
             f, divisor, curve = phi7(), PHI7_DIVISOR, E7
-            pole = (poly(q(-1, 8), 1) ** 2) * V_CLUSTER.minpoly ** 7
         else:
             f, divisor, curve = phi4_on_e4(), PHI4_DIVISOR, E4
-            pole = T_CLUSTER.minpoly ** 4
         rep = verify_divisor(curve, f, divisor)
         if not rep.ok:
             return rep
-        if not genus1_fiber_one_square(f, pole, 12):
+        if not genus1_fiber_one_square(f, divisor_norm(divisor)[1], 12):
             return failed(detail="fiber over 1 is not [2^12]")
         return passed()
     return run

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyalg import RationalMap, UniPoly, poly, rational_roots, resultant
+from .polyalg import RationalMap, UniPoly, homogeneous, poly, rational_roots, resultant
 from .report import Mismatch, VerificationReport, failed, passed
 from .scalars import QQ, ONE, power, rat, scalar_inv
 from .series import PuiseuxSeries, ps_div, ps_pow
@@ -247,25 +247,17 @@ class CurveFunction:
         return ((self.a * other.den - other.a * self.den).is_zero()
                 and (self.b * other.den - other.b * self.den).is_zero())
 
-    def homogeneous(self, p: UniPoly, d: int) -> "CurveFunction":
-        """p(self) * den**d for a polynomial p of degree at most d, with
-        denominator 1: sum_k p_k (a + b v)**k den**(d-k), by Horner on the
-        (a, b) pairs of Q[u] + Q[u] v."""
-        rhs = self.curve.rhs
-        dens = [UniPoly([ONE])]
-        for _ in range(d):
-            dens.append(dens[-1] * self.den)
-        A, B = UniPoly([p[d]]), UniPoly()
-        for k in range(d - 1, -1, -1):
-            A, B = (A * self.a + B * self.b * rhs + dens[d - k].scale(p[k]),
-                    A * self.b + B * self.a)
-        return CurveFunction(self.curve, A, B)
+    def homogeneous(self, ps, d: int) -> list:
+        """p(self) * den**d for each polynomial p in ps of degree at most d,
+        with denominator 1: sum_k p_k (a + b v)**k den**(d-k)."""
+        return [CurveFunction(self.curve, A, B)
+                for A, B in homogeneous(ps, d, self.a, self.b, self.den, self.curve.rhs)]
 
     def subst(self, U: "CurveFunction", V: "CurveFunction") -> "CurveFunction":
         """f(U, V) in the function field of U and V: a, b and den are each
         homogeneous of one degree d in U, so U.den**d cancels in the quotient."""
         d = max(self.a.degree, self.b.degree, self.den.degree)
-        a, b, den = (U.homogeneous(p, d) for p in (self.a, self.b, self.den))
+        a, b, den = U.homogeneous((self.a, self.b, self.den), d)
         return (a + b * V) / den
 
     def expand_at(self, pt: AffinePoint, n: int) -> PuiseuxSeries:
@@ -395,6 +387,23 @@ def divisor_degree(divisor) -> object:
     return total
 
 
+def divisor_norm(divisor):
+    """(num, den), the product of m**c over the finite places of the
+    divisor, m = u - u0 at a point and the minimal polynomial at a cluster:
+    the norm of a function with that divisor, up to a constant.  Orders at
+    (u0, v0) and (u0, -v0) add up; a 2-torsion point is one place."""
+    num, den = UniPoly([ONE]), UniPoly([ONE])
+    for place, c in divisor:
+        if place is INFINITY:
+            continue
+        m = place.minpoly if isinstance(place, PlaceCluster) else poly(-QQ(place.u), 1)
+        if c > 0:
+            num = num * m ** c
+        else:
+            den = den * m ** -c
+    return num, den
+
+
 def verify_divisor(curve: Curve, f: CurveFunction, divisor) -> VerificationReport:
     """Exact check that div(f) equals the stated fractional divisor.
 
@@ -443,29 +452,8 @@ def verify_divisor(curve: Curve, f: CurveFunction, divisor) -> VerificationRepor
         if stated != int(c) or conj != 0:
             return failed(detail=f"cluster {cl}: got ({stated},{conj}), stated ({c},0)")
 
-    # completeness: the norm of f must factor exactly as the divisor says;
-    # orders at (u0, v0) and (u0, -v0) combine, 2-torsion counts once
-    expected_num = UniPoly([ONE])
-    expected_den = UniPoly([ONE])
-    seen = set()
-    for p, c in points:
-        u0 = QQ(p.u)
-        if u0 in seen:
-            continue
-        seen.add(u0)
-        if p.v == 0:
-            mult = int(c)
-        else:
-            mult = int(c) + int(coeffs.get(AffinePoint(p.u, -QQ(p.v)), QQ(0)))
-        if mult > 0:
-            expected_num = expected_num * poly(-u0, 1) ** mult
-        elif mult < 0:
-            expected_den = expected_den * poly(-u0, 1) ** (-mult)
-    for cl, c in clusters:
-        if int(c) > 0:
-            expected_num = expected_num * cl.minpoly ** int(c)
-        else:
-            expected_den = expected_den * cl.minpoly ** (-int(c))
+    # completeness: the norm of f must factor exactly as the divisor says
+    expected_num, expected_den = divisor_norm(coeffs.items())
     norm = f.norm_map()
     lhs = norm.num * expected_den
     rhs = norm.den * expected_num

@@ -254,43 +254,19 @@ def squarefree_multiplicities(p: UniPoly):
 
 
 def resultant(p: UniPoly, q: UniPoly):
-    """Resultant via the Sylvester determinant (exact Gaussian elimination)."""
+    """Resultant by Euclid's remainder sequence (Knuth, TAOCP vol. 2, 4.6.1):
+    res(p, q) = (-1)**(m n) lc(q)**(m - deg r) res(q, r) with r = p mod q,
+    m and n the degrees of p and q, and res(p, c) = c**m for a constant c."""
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.lc ** n
-    if n == 0:
-        return q.lc ** m
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([ZERO] * i + pc + [ZERO] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([ZERO] * i + qc + [ZERO] * (size - n - 1 - i))
-    det = ONE
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
+    out = ONE
+    while q.degree > 0:
+        m, n, r = p.degree, q.degree, p % q
+        if not r:
             return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pivval = rows[col][col]
-        det = det * pivval
-        inv = scalar_inv(pivval)
-        for r in range(col + 1, size):
-            f = rows[r][col]
-            if f:
-                f = f * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
+        out = out * (-1) ** (m * n) * q.lc ** (m - r.degree)
+        p, q = q, r
+    return out * q.lc ** p.degree
 
 
 def rational_roots(p: UniPoly):
@@ -324,6 +300,23 @@ def _divisors(n: int):
     return sorted(out)
 
 
+def homogeneous(fs, d: int, a: UniPoly, b: UniPoly, q: UniPoly, rhs: UniPoly):
+    """For each f in fs, of degree at most d, the pair (A, B) of
+    polynomials with A + B v = sum_k f_k (a + b v)**k q**(d-k) and
+    v**2 = rhs, by Horner on the pairs; all the f share one power list of q."""
+    qs = [UniPoly([ONE])]
+    for _ in range(d):
+        qs.append(qs[-1] * q)
+    brhs = b * rhs
+    out = []
+    for f in fs:
+        A, B = UniPoly([f[d]]), UniPoly()
+        for k in range(d - 1, -1, -1):
+            A, B = A * a + B * brhs + qs[d - k].scale(f[k]), A * b + B * a
+        out.append((A, B))
+    return out
+
+
 class RationalMap:
     """Quotient num/den of exact polynomials, always coprime with monic den
     (den 1 for the zero map)."""
@@ -354,20 +347,11 @@ class RationalMap:
 
     def compose_rational(self, other: "RationalMap") -> "RationalMap":
         """self(p/q) with q**d cancelled, d the larger degree of self: num
-        and den each as sum_k f_k p**k q**(d-k), by Horner."""
-        p, q = other.num, other.den
+        and den each as sum_k f_k p**k q**(d-k), by ``homogeneous``."""
         d = max(self.num.degree, self.den.degree)
-        qs = [UniPoly([ONE])]
-        for _ in range(d):
-            qs.append(qs[-1] * q)
-
-        def homogeneous(f: UniPoly) -> UniPoly:
-            out = UniPoly([f[d]])
-            for k in range(d - 1, -1, -1):
-                out = out * p + qs[d - k].scale(f[k])
-            return out
-
-        return RationalMap(homogeneous(self.num), homogeneous(self.den))
+        (num, _), (den, _) = homogeneous((self.num, self.den), d, other.num, UniPoly(),
+                                         other.den, UniPoly())
+        return RationalMap(num, den)
 
 
 class MultiPoly:

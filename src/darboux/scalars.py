@@ -41,6 +41,8 @@ class Omega:
     def __setattr__(self, *_):
         raise AttributeError("Omega values are immutable")
 
+    __delattr__ = __setattr__
+
     # -- coercion -------------------------------------------------------
     @staticmethod
     def _lift(x):

@@ -25,6 +25,7 @@ from darboux.ellcurve import (
     V_CLUSTER,
     UnsupportedPointError,
     cf,
+    divisor_norm,
     ec_mul,
     involution_apply,
     isogeny_pullback,
@@ -144,6 +145,18 @@ def test_phi7_divisor():
 def test_phi4_divisor():
     rep = verify_divisor(E4, phi4_on_e4(), PHI4_DIVISOR)
     assert rep.ok, rep
+
+
+def test_divisor_norm_of_the_covering_divisors():
+    """The pole polynomials that tests/test_belyi.py::test_genus1_fiber_over_one
+    states by hand, and the zero polynomials: the 2-torsion point (0, 0)
+    counts once, the two points over u = 1/4 (or 1) once each."""
+    num7, den7 = divisor_norm(PHI7_DIVISOR)
+    assert den7 == (poly(rat(-1, 8), 1) ** 2) * V_CLUSTER.minpoly ** 7
+    assert num7 == poly(0, 1) * poly(rat(-1, 4), 1) ** 2 * U_CLUSTER.minpoly ** 7
+    num4, den4 = divisor_norm(PHI4_DIVISOR)
+    assert den4 == T_CLUSTER.minpoly ** 4
+    assert num4 == poly(0, 1) * poly(-1, 1) ** 2 * S_CLUSTER.minpoly ** 7
 
 
 def test_divisor_rejects_wrong_statement():

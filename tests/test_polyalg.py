@@ -4,7 +4,8 @@
 ``UniPoly.divmod`` and ``UniPoly.gcd`` (long division and Euclid's algorithm
 on exact scalars); the kernel versions must give the same polynomials.
 ``ref_compose`` is the former ``RationalMap.compose_rational``, a sum over
-lists of the powers of both parts of the inner map.
+lists of the powers of both parts of the inner map.  ``ref_resultant`` is
+the former ``resultant``, the Sylvester determinant by exact elimination.
 """
 
 from math import gcd
@@ -18,6 +19,7 @@ from darboux.polyalg import (
     MultiPoly,
     RationalMap,
     UniPoly,
+    homogeneous,
     poly,
     rational_roots,
     resultant,
@@ -77,6 +79,58 @@ def ref_compose(f, g):
         return out
 
     return lift(f.num), lift(f.den)
+
+
+def ref_resultant(p: UniPoly, q: UniPoly):
+    """Resultant via the Sylvester determinant (exact Gaussian elimination)."""
+    if p.is_zero() or q.is_zero():
+        raise ValueError("resultant of the zero polynomial")
+    m, n = p.degree, q.degree
+    if m == 0:
+        return p.lc ** n
+    if n == 0:
+        return q.lc ** m
+    size = m + n
+    rows = []
+    pc = list(reversed(p.coeffs))
+    qc = list(reversed(q.coeffs))
+    for i in range(n):
+        rows.append([ZERO] * i + pc + [ZERO] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([ZERO] * i + qc + [ZERO] * (size - n - 1 - i))
+    det = ONE
+    for col in range(size):
+        piv = None
+        for r in range(col, size):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv is None:
+            return ZERO
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pivval = rows[col][col]
+        det = det * pivval
+        inv = scalar_inv(pivval)
+        for r in range(col + 1, size):
+            f = rows[r][col]
+            if f:
+                f = f * inv
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def ref_homogeneous(f, d, a, b, q, rhs):
+    """(A, B) with A + B v = sum_k f_k (a + b v)**k q**(d-k), summed from
+    the powers of the pair (a, b), each reduced by v**2 = rhs."""
+    A, B = UniPoly(), UniPoly()
+    pa, pb = UniPoly([ONE]), UniPoly()
+    for k in range(d + 1):
+        qk = q ** (d - k)
+        A, B = A + (pa * qk).scale(f[k]), B + (pb * qk).scale(f[k])
+        pa, pb = pa * a + pb * b * rhs, pa * b + pb * a
+    return A, B
 
 
 def expand_product(factors):
@@ -490,6 +544,38 @@ def test_compose_rational_matches_the_power_lists(data, kf, kg):
     got, want = f.compose_rational(g), RationalMap(num, den)
     assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
     assert got.den.lc == ONE and got.num.gcd(got.den).degree == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), kinds, kinds, st.integers(0, 2))
+def test_homogeneous_matches_a_sum_of_pair_powers(data, kind, kb, extra):
+    """Each pair is the power sum of ``ref_homogeneous`` with b nonzero,
+    also for d above the degree of every f, and one call for three
+    polynomials gives what one call for each gives."""
+    fs = [data.draw(polys(kind, 4)) for _ in range(3)]
+    a, q, rhs = (data.draw(polys(kind, 3)) for _ in range(3))
+    b = data.draw(factors(kb))
+    d = max(0, *(f.degree for f in fs)) + extra
+    got = homogeneous(fs, d, a, b, q, rhs)
+    for f, (A, B) in zip(fs, got):
+        want = ref_homogeneous(f, d, a, b, q, rhs)
+        assert (A.coeffs, B.coeffs) == (want[0].coeffs, want[1].coeffs)
+        alone = homogeneous([f], d, a, b, q, rhs)[0]
+        assert (alone[0].coeffs, alone[1].coeffs) == (A.coeffs, B.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), kinds, kinds, kinds)
+def test_resultant_matches_the_sylvester_determinant(data, ka, kb, kc):
+    """Rational and Q(w) operands, constants and a shared factor, in both
+    argument orders; a shared factor gives 0."""
+    p, q = data.draw(polys(ka, 6).filter(bool)), data.draw(polys(kb, 6).filter(bool))
+    c = data.draw(factors(kc))
+    k = UniPoly([data.draw(nonzero[kc])])
+    for x, y in ((p, q), (p, k), (k, k), (p * c, q * c), (p * c, c)):
+        assert resultant(x, y) == ref_resultant(x, y)
+        assert resultant(y, x) == ref_resultant(y, x)
+    assert resultant(p * c, q * c) == 0
 
 
 def test_rational_map_over_qw_comes_back_reduced():

@@ -235,6 +235,8 @@ def test_omega_division():
 def test_omega_values_are_immutable():
     with pytest.raises(AttributeError):
         W.a = 1
+    with pytest.raises(AttributeError):
+        del W.a
     assert (W.a, W.b) == (0, 1)
 
 
