@@ -10,9 +10,11 @@ runner copies the checkout to a temporary directory.  It checks that every
 old text occurs exactly once in its file, and that every named node passes
 on the unchanged copy.  Then it plants one mutant at a time, runs each of
 its nodes alone in a pytest process cut after ``LIMIT`` seconds, and puts
-the file back.  A node cut by the limit counts as failed: hypothesis
-shrinking on a broken evaluator, or a loop a fault keeps going, can run for
-minutes.  A mutant is killed when all of its nodes fail.
+the file back.  The children run the hypothesis profile ``PROFILE``, which
+``tests/conftest.py`` registers without the shrink phase: a failing example
+is reported as found, not shrunk for minutes.  A node cut by the limit
+counts as failed, as a loop a fault keeps going can run for ever.  A
+mutant is killed when all of its nodes fail.
 
 It prints one line per mutant.  The exit code is 0 when every mutant is
 killed, and 1 when a mutant survives, an old text does not occur exactly
@@ -31,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIMIT = 120                 # seconds per node
+PROFILE = "mutants"         # the hypothesis profile of every child pytest
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
 
 _MEMO_KEY = 'memo(("factor", f, chart, target)'
@@ -105,6 +108,24 @@ MUTANTS = [
      "nodes": ["tests/test_ellcurve.py::test_divisor_norm_of_the_covering_divisors",
                "tests/test_ellcurve.py::test_phi7_divisor",
                "tests/test_ellcurve.py::test_phi4_divisor"]},
+    {"name": "zero-slot cut that reads only re",
+     "file": "src/darboux/kernel.py",
+     "old": "while n and not re[n - 1] and (im is None or not im[n - 1]):",
+     "new": "while n and not re[n - 1]:",
+     "nodes": ["tests/test_polyalg.py::test_a_top_coefficient_with_a_zero_rational_part_is_kept"]},
+    {"name": "Newton inverse extended as if one more term were known",
+     "file": "src/darboux/kernel.py",
+     "old": "have = len(y[0])\n",
+     "new": "have = len(y[0]) + 1\n",
+     "nodes": ["tests/test_polyalg.py::test_one_divisor_for_quotients_of_changing_length",
+               "tests/test_polyalg.py::test_divmod_matches_long_division",
+               "tests/test_kernel.py::test_div_matches_recurrence"]},
+    {"name": "constant divisor that scales by its lc, not by its inverse",
+     "file": "src/darboux/polyalg.py",
+     "old": "return self.scale(scalar_inv(other.lc)), UniPoly()",
+     "new": "return self.scale(other.lc), UniPoly()",
+     "nodes": ["tests/test_polyalg.py::test_divmod_by_constants_and_zero",
+               "tests/test_polyalg.py::test_ring_ops_match_the_tuple_oracles"]},
 ]
 
 
@@ -115,7 +136,8 @@ def run_nodes(root: Path, nodes, limit) -> str:
         p for p in [str(root / "src"), os.environ.get("PYTHONPATH", "")] if p))
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               *nodes], cwd=root, env=env, capture_output=True, timeout=limit)
+                               f"--hypothesis-profile={PROFILE}", *nodes],
+                              cwd=root, env=env, capture_output=True, timeout=limit)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if proc.returncode == 0 else "failed"

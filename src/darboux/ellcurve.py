@@ -139,7 +139,7 @@ def _invert_mod(p: UniPoly, m: UniPoly) -> UniPoly:
         s0, s1 = s1, s0 - q * s1
     if r1.is_zero():
         raise ZeroDivisionError("element not invertible in the residue algebra")
-    return (s1.scale(scalar_inv(r1.coeffs[0]))) % m
+    return (s1.scale(scalar_inv(r1[0]))) % m
 
 
 # the four clusters, built from their defining equations
@@ -447,8 +447,8 @@ def verify_divisor(curve: Curve, f: CurveFunction, divisor) -> VerificationRepor
         if QQ(c).denominator != 1:
             return failed(detail=f"non-integral order {c} at {cl}")
         stated, conj = _cluster_split(curve, f.a, f.b, cl)
-        stated -= _mult_in(f.den, cl.minpoly)
-        conj -= _mult_in(f.den, cl.minpoly)
+        pole = _mult_in(f.den, cl.minpoly)
+        stated, conj = stated - pole, conj - pole
         if stated != int(c) or conj != 0:
             return failed(detail=f"cluster {cl}: got ({stated},{conj}), stated ({c},0)")
 

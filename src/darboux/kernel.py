@@ -3,9 +3,11 @@
 ``series.ps_mul``, the Newton inverse behind ``series.ps_div``,
 ``series._horner`` (the one evaluator of a coefficient list at a series,
 behind ``ps_compose`` and ``UniPoly.eval_series``) and
-``polyalg.UniPoly.__mul__`` all multiply coefficient lists here; ``series.ps_pow`` raises them to rational powers
-here, by a fraction-free recurrence; ``UniPoly.divmod`` and ``UniPoly.gcd``
-divide them here, by a Newton inverse of the reversed divisor, and
+``polyalg.UniPoly.__mul__`` all multiply coefficient lists here, and
+``UniPoly`` adds and scales its vectors with ``_kdot``; ``series.ps_pow``
+raises them to rational powers here, by a fraction-free recurrence;
+``UniPoly.divmod`` and ``UniPoly.gcd`` divide them here, by a Newton
+inverse of the reversed divisor that a caller can keep and extend, and
 ``UniPoly.gcd`` evaluates rational ones at xi = 2**(8*w) with ``_pack`` and
 reads the digits of one integer gcd back with ``_unpack``.
 
@@ -164,33 +166,36 @@ def _reduced(re, im, d):
     return ([c // g for c in re], None if im is None else [c // g for c in im], d // g)
 
 
-def _unit_inverse(x, n):
-    """First n coefficients of 1/x for an integer vector x with x[0] != 0.
+def _unit_inverse(x, n, y=None):
+    """First n coefficients of 1/x for an integer vector x with x[0] != 0,
+    or more when y, a known leading part of 1/x, already holds more.
 
     Newton iteration y <- y - y*(x*y - 1) doubles the known terms per step:
     when x*y = 1 + O(z^m), the product is 1 + O(z^2m) once y absorbs the
     correction, and only the part of x*y - 1 from z^m on is multiplied.
+    It starts from y when given, else from the inverse of x[0].
     """
     xr, xi, dx = x
-    r0 = xr[0]
-    if xi is None:
-        y = ([dx], None, r0) if r0 > 0 else ([-dx], None, -r0)
-    else:
-        # 1/(r + i*w) = (r - i - i*w) / (r*r - r*i + i*i), a positive norm
-        i0 = xi[0]
-        y = ([dx * (r0 - i0)], [-dx * i0], r0 * r0 - r0 * i0 + i0 * i0)
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
+    if y is None:
+        r0 = xr[0]
+        if xi is None:
+            y = ([dx], None, r0) if r0 > 0 else ([-dx], None, -r0)
+        else:
+            # 1/(r + i*w) = (r - i - i*w) / (r*r - r*i + i*i), a positive norm
+            i0 = xi[0]
+            y = ([dx * (r0 - i0)], [-dx * i0], r0 * r0 - r0 * i0 + i0 * i0)
+    have = len(y[0])
+    while have < n:
+        m2 = min(2 * have, n)
         er, ei, de = _kmul(x, y, m2)
-        high = (er[m:], None if ei is None else ei[m:], de)
-        tr, ti, _ = _kmul(y, high, m2 - m)
+        high = (er[have:], None if ei is None else ei[have:], de)
+        tr, ti, _ = _kmul(y, high, m2 - have)
         # y, x*y and the correction all have a w part exactly when x has one
         yr, yi, dy = y
         re = [c * de for c in yr] + [-c for c in tr]
         im = None if yi is None else [c * de for c in yi] + [-c for c in ti]
         y = _reduced(re, im, dy * de)
-        m = m2
+        have = m2
     return y
 
 
@@ -243,24 +248,34 @@ def _kpow(x, p, q, n):
     return out
 
 
-def _kdivmod(a, b):
-    """Quotient and remainder of integer vectors a and b whose last slots are
-    nonzero, with len(a) >= len(b).
+def _canonical(re, im, d):
+    """The vector reduced and without its trailing zero slots, those whose
+    re and im are both zero; the zero vector is ([], None, 1)."""
+    n = len(re)
+    while n and not re[n - 1] and (im is None or not im[n - 1]):
+        n -= 1
+    if not n:
+        return [], None, 1
+    return _reduced(re[:n], None if im is None else im[:n], d)
+
+
+def _kdivmod(a, b, inv=None):
+    """Quotient, remainder and the inverse of rev(b) used, for integer
+    vectors a and b whose last slots are nonzero, with len(a) >= len(b).
 
     The quotient reversed is rev(a) / rev(b) to len(a) - len(b) + 1 terms
     (Brent & Kung 1978); the remainder is a - q*b on the low len(b) - 1 slots,
-    its trailing zero slots cut.  Both carry a w part when a or b does.
+    made ``_canonical``.  Both carry a w part when a or b does, but for a
+    zero remainder.
+    inv, the inverse of an earlier division by b, is extended only as far
+    as this quotient needs.
     """
     (ar, ai, da), (br, bi, db) = a, b
     k, m = len(ar) - len(br) + 1, len(br) - 1
-    inv = _unit_inverse((br[::-1], bi and bi[::-1], db), k)
+    inv = _unit_inverse((br[::-1], bi and bi[::-1], db), k, inv)
     qr, qi, dq = _kmul((ar[::-1], ai and ai[::-1], da), inv, k)
     q = _reduced(qr[::-1], qi and qi[::-1], dq)
     pr, pi, dp = _kmul(q, b, m) if m else ([], q[1] and [], 1)
     re = [x * dp - y * da for x, y in zip(ar, pr)]
     im = None if pi is None else [x * dp - y * da for x, y in zip(ai or [0] * m, pi)]
-    while re and not re[-1] and (im is None or not im[-1]):
-        re.pop()
-        if im is not None:
-            im.pop()
-    return q, (re, im, da * dp)
+    return q, _canonical(re, im, da * dp), inv

@@ -1,12 +1,12 @@
 """Exact univariate and sparse multivariate polynomial algebra.
 
 Coefficients are exact scalars (rationals or Q(w) elements).  Univariate
-polynomials are dense ascending coefficient tuples; multivariate ones are
-sparse maps from exponent tuples.  Only what the verification needs is
-here: ring ops, division, gcd, squarefree splitting, resultants, series
-evaluation, and reduction modulo a single multivariate divisor.
-``UniPoly.__mul__``, ``divmod`` (and so ``%``, ``//`` and ``divexact``) and
-``gcd`` run on the integer vectors of ``darboux.kernel``.
+polynomials are dense integer vectors of ``darboux.kernel``, and every
+``UniPoly`` ring op, ``divmod`` (and so ``%`` and ``divexact``) and ``gcd``
+runs on them; multivariate ones are sparse maps from exponent tuples.
+Only what the verification needs is here: ring ops, division, gcd,
+squarefree splitting, resultants, series evaluation, and reduction modulo
+a single multivariate divisor.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from math import gcd, lcm
 
-from .kernel import _kdivmod, _kmul, _pack, _scalars, _unpack, _vec
+from .kernel import _canonical, _kdivmod, _kdot, _kmul, _pack, _scalars, _unpack, _vec
 from .scalars import QQ, ZERO, ONE, power, scalar_inv
 from .series import PuiseuxSeries, _horner, ps_div, ps_mul
 
@@ -29,68 +29,96 @@ __all__ = [
 
 
 class UniPoly:
-    __slots__ = ("coeffs",)
+    """One integer vector (re, im, d) of ``kernel``, coefficient k being
+    (re[k] + im[k] w)/d with im None over Q, kept ``_canonical``; scalars
+    are built where a coefficient is read.  A divisor keeps its inverse."""
+
+    __slots__ = ("vec", "_inv")
 
     def __init__(self, coeffs=()):
-        cs = [QQ(c) if isinstance(c, int) else c for c in coeffs]
-        while cs and not cs[-1]:
+        cs = list(coeffs)
+        while cs and not cs[-1]:        # so that a trailing Omega 0 adds no w part
             cs.pop()
-        self.coeffs = tuple(cs)
+        self.vec, self._inv = _canonical(*_vec(cs)), None
+
+    @classmethod
+    def _of(cls, v):
+        """The polynomial of an integer vector."""
+        p = cls.__new__(cls)
+        p.vec, p._inv = _canonical(*v), None
+        return p
 
     # -- basics ---------------------------------------------------------
     @property
+    def coeffs(self):
+        """The coefficient tuple, built from the vector at each read."""
+        return tuple(_scalars(self.vec))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.vec[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vec[0]
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.vec[0])
 
     def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k <= self.degree else ZERO
+        re, im, d = self.vec
+        if not 0 <= k < len(re):
+            return ZERO
+        return _scalars(([re[k]], im and [im[k]], d))[0]
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if not self.vec[0]:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self.degree]
+
+    def _key(self):
+        """The vector, with no w part where every im is 0: equal values,
+        equal keys."""
+        re, im, d = self.vec
+        return tuple(re), tuple(im) if im and any(im) else None, d
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._key())
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.vec[0]:
             return "poly(0)"
         return "poly(" + " + ".join(f"{c}*u^{k}" for k, c in enumerate(self.coeffs) if c) + ")"
 
     # -- ring ops ---------------------------------------------------------
+    def _plus(self, other, s):
+        """self + s * other, one ``_kdot``."""
+        a, b = self.vec, _as_poly(other).vec
+        return UniPoly._of(_kdot([(ONE, a, 0), (s, b, 0)], max(len(a[0]), len(b[0]))))
+
     def __add__(self, other):
-        a, b = self.coeffs, _as_poly(other).coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return UniPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return self._plus(other, ONE)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        re, im, d = self.vec
+        return UniPoly._of(([-c for c in re], im and [-c for c in im], d))
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        return self._plus(other, -ONE)
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
+            a, b = self.vec, other.vec
+            if not a[0] or not b[0]:
                 return UniPoly()
-            return UniPoly(_scalars(_kmul(_vec(a), _vec(b), len(a) + len(b) - 1)))
+            return UniPoly._of(_kmul(a, b, len(a[0]) + len(b[0]) - 1))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -99,7 +127,7 @@ class UniPoly:
     def scale(self, c):
         if not c:
             return UniPoly()
-        return UniPoly([c * x for x in self.coeffs])
+        return UniPoly._of(_kdot([(c, self.vec, 0)], len(self.vec[0])))
 
     def __pow__(self, n: int):
         n = int(n)
@@ -108,18 +136,23 @@ class UniPoly:
         return power(self, n, UniPoly([ONE]))
 
     def shift_mul_x(self, k: int) -> "UniPoly":
-        if not self.coeffs:
+        re, im, d = self.vec
+        if not re:
             return self
-        return UniPoly([ZERO] * k + list(self.coeffs))
+        return UniPoly._of(([0] * k + re, im and [0] * k + im, d))
 
     # -- division ---------------------------------------------------------
     def divmod(self, other: "UniPoly"):
+        """A constant divisor is a scaling; any other keeps the Newton
+        inverse of ``kernel._kdivmod`` for the next division by it."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.coeffs) < len(other.coeffs):
+        if self.degree < other.degree:
             return UniPoly(), self
-        q, r = _kdivmod(_vec(self.coeffs), _vec(other.coeffs))
-        return UniPoly(_scalars(q)), UniPoly(_scalars(r))
+        if not other.degree:
+            return self.scale(scalar_inv(other.lc)), UniPoly()
+        q, r, other._inv = _kdivmod(self.vec, other.vec, other._inv)
+        return UniPoly._of(q), UniPoly._of(r)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -138,27 +171,30 @@ class UniPoly:
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd.  Two nonzero rational operands go by one integer gcd
         first (``_heuristic_gcd``); Q(w) operands, and rational ones on
-        which that fails, by Euclid on one integer vector of both operands,
-        each remainder cut to its primitive part (Knuth, TAOCP vol. 2,
-        4.6.1)."""
-        n = len(self.coeffs)
-        re, im, d = _vec(self.coeffs + other.coeffs)
-        a, b = (re[:n], im and im[:n], d), (re[n:], im and im[n:], d)
-        if im is None and a[0] and b[0]:
-            g = _heuristic_gcd(_primitive(a[0]), _primitive(b[0]))
-            if g is not None:
-                return UniPoly(_scalars((g, None, 1))).monic()
+        which that fails, by Euclid on their integer vectors, each remainder
+        cut to its primitive part (Knuth, TAOCP vol. 2, 4.6.1)."""
+        a, b = self.vec, other.vec
+        if a[1] is None and b[1] is None:
+            if a[0] and b[0]:
+                g = _heuristic_gcd(_primitive(a[0]), _primitive(b[0]))
+                if g is not None:
+                    return UniPoly._of((g, None, 1)).monic()
+        else:
+            # both in Q(w), so that the gcd is too
+            a, b = [(re, [0] * len(re) if im is None else im, d) for re, im, d in (a, b)]
         if len(a[0]) < len(b[0]):
             a, b = b, a
         while b[0]:
             re, im, _ = _kdivmod(a, b)[1]
             g = gcd(*re, *(im or ())) or 1
             a, b = b, ([c // g for c in re], im and [c // g for c in im], 1)
-        return UniPoly(_scalars(a)).monic()
+        return UniPoly._of(a).monic()
 
     # -- calculus / evaluation ---------------------------------------------
     def derivative(self) -> "UniPoly":
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        re, im, d = self.vec
+        return UniPoly._of(([k * c for k, c in enumerate(re)][1:],
+                            im and [k * c for k, c in enumerate(im)][1:], d))
 
     def __call__(self, x):
         out = ZERO
@@ -174,14 +210,15 @@ class UniPoly:
         s that are known reach that far.  A constant is known |v(s)| beyond
         N(s), the zero polynomial to N(s).
         """
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return PuiseuxSeries.zero(s.order_exponent, s.grid)
         v = s.lead
         if v > 0:
-            e = next((k for k, c in enumerate(self.coeffs) if k and c), 2)
+            e = next((k for k, c in enumerate(cs) if k and c), 2)
         else:
             e = self.degree
-        return _horner(self.coeffs, s, s.order + (e - 1) * v)
+        return _horner(cs, s, s.order + (e - 1) * v)
 
 
 def _primitive(v):
@@ -208,8 +245,11 @@ def _heuristic_gcd(a, b):
             g.pop()
         if len(g) <= min(len(a), len(b)):
             g = _primitive(g)
-            if not (_kdivmod((a, None, 1), (g, None, 1))[1][0]
-                    or _kdivmod((b, None, 1), (g, None, 1))[1][0]):
+            if len(g) == 1:             # a unit divides both
+                return g
+            # the two exact divisions share one inverse of g
+            _, r, inv = _kdivmod((a, None, 1), (g, None, 1))
+            if not (r[0] or _kdivmod((b, None, 1), (g, None, 1), inv)[1][0]):
                 return g
         w += 1
     return None

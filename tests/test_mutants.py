@@ -7,7 +7,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "scripts"))
 
-from mutants import MUTANTS, ROOT, run  # noqa: E402
+from mutants import MUTANTS, PROFILE, ROOT, run  # noqa: E402
 
 STUB = "def add(a, b):\n    return a + b\n\n\ndef unused():\n    return 1\n"
 NODE = "tests/test_stub.py::test_add"
@@ -18,6 +18,8 @@ def stub(root, test="from stub import add\n\n\ndef test_add():\n    assert add(2
     (root / "src" / "stub.py").write_text(STUB)
     (root / "tests").mkdir()
     (root / "tests" / "test_stub.py").write_text(test)
+    (root / "tests" / "conftest.py").write_text(
+        f"from hypothesis import settings\n\nsettings.register_profile({PROFILE!r})\n")
     return root
 
 

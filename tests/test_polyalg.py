@@ -6,6 +6,10 @@ on exact scalars); the kernel versions must give the same polynomials.
 ``ref_compose`` is the former ``RationalMap.compose_rational``, a sum over
 lists of the powers of both parts of the inner map.  ``ref_resultant`` is
 the former ``resultant``, the Sylvester determinant by exact elimination.
+``ref_poly_add``, ``ref_scale`` and ``ref_derivative`` are the former
+``UniPoly`` operations on tuples of exact scalars, and ``ref_poly_mul`` (in
+``test_kernel``) the schoolbook product; they give coefficient tuples for the
+integer-vector operations to match.
 """
 
 from math import gcd
@@ -25,6 +29,7 @@ from darboux.polyalg import (
     resultant,
     squarefree_multiplicities,
 )
+from test_kernel import ref_poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +54,30 @@ def ref_divmod(p, q):
             for j, b in enumerate(oc):
                 rem[k + j] = rem[k + j] - c * b
     return UniPoly(quot), UniPoly(rem[: len(oc) - 1])
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_poly_add(p, q, sign=1):
+    """Coefficients of p + sign*q, summed slot by slot."""
+    a, b = list(p.coeffs), [sign * c for c in q.coeffs]
+    if len(a) < len(b):
+        a, b = b, a
+    return _strip([x + y for x, y in zip(a, b)] + a[len(b):])
+
+
+def ref_scale(p, c):
+    """Coefficients of c*p."""
+    return _strip([c * x for x in p.coeffs])
+
+
+def ref_derivative(p):
+    return _strip([k * c for k, c in enumerate(p.coeffs)][1:])
 
 
 def ref_gcd(p, q):
@@ -402,6 +431,93 @@ def test_gcd_keeps_remainders_primitive(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# ring operations on the integer vectors, against the tuple oracles
+# ---------------------------------------------------------------------------
+
+def assert_coeffs(got, want, *operands):
+    """got has the coefficient tuple want; its nonzero coefficients are
+    Omega exactly when an operand holds one, and its zero slots are ZERO."""
+    assert got.coeffs == want
+    assert_omega_exactly([got], *operands)
+    assert all(c or c is ZERO for c in got.coeffs)
+
+
+def assert_ring_ops(p, q, c):
+    assert_coeffs(p + q, ref_poly_add(p, q), p, q)
+    assert_coeffs(p - q, ref_poly_add(p, q, -1), p, q)
+    assert_coeffs(q - p, ref_poly_add(q, p, -1), p, q)
+    assert_coeffs(-p, ref_scale(p, -1), p)
+    assert_coeffs(p * q, ref_poly_mul(p, q).coeffs, p, q)
+    assert_coeffs(p.derivative(), ref_derivative(p), p)
+    assert_coeffs(p.scale(c), ref_scale(p, c), p, UniPoly([c]))
+    for x, y in ((p, q), (q, p), (p, UniPoly([c]))):
+        if y:
+            assert_divmod(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), kinds, kinds, kinds)
+def test_ring_ops_match_the_tuple_oracles(data, ka, kb, kc):
+    p, q = data.draw(polys(ka)), data.draw(polys(kb))
+    assert_ring_ops(p, q, data.draw(nonzero[kc]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), kinds, nonzero_small)
+def test_a_top_coefficient_with_a_zero_rational_part_is_kept(data, kind, y):
+    """A Q(w) top slot with re 0 and im nonzero is no zero slot: neither
+    when it is built nor when a sum cancels only its rational part."""
+    low = data.draw(st.lists(scalar[kind], max_size=6))
+    p = UniPoly(low + [Omega(0, y)])
+    assert p.degree == len(low) and p.lc == Omega(0, y)
+    x = data.draw(nonzero_small)
+    n = len(low)
+    q = UniPoly(data.draw(st.lists(scalar[kind], min_size=n, max_size=n)) + [Omega(x, -y)])
+    r = UniPoly(low + [Omega(-x, 2 * y)])
+    assert (q + r).degree == p.degree and (q + r).lc == Omega(0, y)
+    assert_ring_ops(p, q + r, data.draw(nonzero[kind]))
+    assert_ring_ops(q + r, p, Omega(0, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_sums_that_cancel(data, ka, kb):
+    """p - p and p + (-p) are the zero polynomial; a sum whose top slots
+    cancel loses them, down to the first slot that does not."""
+    p, q = data.draw(polys(ka)), data.draw(polys(kb, 4))
+    for zero in (p - p, p + (-p), p.scale(-1) + p):
+        assert zero.is_zero() and zero.degree == -1 and zero.coeffs == ()
+        assert zero == UniPoly() and hash(zero) == hash(UniPoly())
+    top = UniPoly(list(q.coeffs) + list(p.coeffs[len(q.coeffs):]))
+    assert_coeffs(top - p, ref_poly_add(top, p, -1), top, p)
+    assert (top - p).degree < len(q.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), kinds, kinds, st.lists(st.integers(0, 16), min_size=3, max_size=6))
+def test_one_divisor_for_quotients_of_changing_length(data, ka, kb, lengths):
+    """One divisor object keeps its Newton inverse across divisions whose
+    quotients grow, shrink and grow again; each division still matches
+    long division, and the kept inverse covers the longest quotient."""
+    b = data.draw(factors(kb, 4))
+    longest = 0
+    for k in lengths + [max(lengths) + 3, 1, max(lengths) + 7]:
+        a = UniPoly(data.draw(st.lists(scalar[ka], min_size=k + b.degree, max_size=k + b.degree))
+                    + [data.draw(nonzero[ka])])
+        assert_divmod(a, b)
+        longest = max(longest, k + 1)
+        assert len(b._inv[0]) >= longest
+
+
+def test_equal_values_are_equal_polys_whatever_their_type():
+    """Equality and hash go by value: a Q(w) polynomial with rational
+    values equals and hashes as the rational one."""
+    p, q = UniPoly([Omega(1), ZERO, Omega(QQ(-2, 3))]), poly(1, 0, QQ(-2, 3))
+    assert p == q and hash(p) == hash(q) and p != poly(1, 0, QQ(2, 3))
+    assert UniPoly([QQ(2, 4), 1, 0, ZERO]) == poly(QQ(1, 2), 1)
+
+
+# ---------------------------------------------------------------------------
 # the heuristic gcd of rational operands
 # ---------------------------------------------------------------------------
 
@@ -437,7 +553,8 @@ def test_heuristic_gcd_answers_without_a_remainder_sequence(monkeypatch):
     import darboux.polyalg as polyalg_module
     calls = []
     real = polyalg_module._kdivmod
-    monkeypatch.setattr(polyalg_module, "_kdivmod", lambda a, b: calls.append(b) or real(a, b))
+    monkeypatch.setattr(polyalg_module, "_kdivmod",
+                        lambda a, b, *inv: calls.append(b) or real(a, b, *inv))
     a, b, c, g = gcd_example()
     assert a.gcd(b) == c.monic()
     assert [v for v, _, _ in calls] == [g, g]
@@ -487,7 +604,7 @@ def test_gcd_falls_back_to_euclid_when_every_try_fails(monkeypatch):
                         lambda h, w, m: reads.append(w) or [x + (not i) for i, x in
                                                             enumerate(unpack(h, w, m))])
     monkeypatch.setattr(polyalg_module, "_kdivmod",
-                        lambda a, b: divisions.append(b) or kdivmod(a, b))
+                        lambda a, b, *inv: divisions.append(b) or kdivmod(a, b, *inv))
     a, b, c, _ = gcd_example()
     assert _heuristic_gcd(_primitive(_vec(a.coeffs)[0]), _primitive(_vec(b.coeffs)[0])) is None
     assert len(reads) == 4 and reads == sorted(set(reads))
