@@ -126,6 +126,24 @@ MUTANTS = [
      "new": "return self.scale(other.lc), UniPoly()",
      "nodes": ["tests/test_polyalg.py::test_divmod_by_constants_and_zero",
                "tests/test_polyalg.py::test_ring_ops_match_the_tuple_oracles"]},
+    {"name": "first_mismatch comparing numerators over different denominators",
+     "file": "src/darboux/series.py",
+     "old": "    da, db = a.vec[2], b.vec[2]\n",
+     "new": "    da = db = 1\n",
+     "nodes": ["tests/test_series.py::test_first_mismatch_cross_multiplies_the_denominators",
+               "tests/test_kernel.py::test_first_mismatch_matches_the_tuple_loop"]},
+    {"name": "leading-zero strip that reads only re",
+     "file": "src/darboux/series.py",
+     "old": "while i < len(re) and not re[i] and (im is None or not im[i]):",
+     "new": "while i < len(re) and not re[i]:",
+     "nodes": ["tests/test_series.py::test_a_lead_with_a_zero_rational_part_is_kept",
+               "tests/test_kernel.py::test_add_matches_the_tuple_loop"]},
+    {"name": "power denominator one k*q*d factor short",
+     "file": "src/darboux/kernel.py",
+     "old": "for k in range(len(yr) - 1, 0, -1):",
+     "new": "for k in range(len(yr) - 1, 1, -1):",
+     "nodes": ["tests/test_series.py::test_pow_binomial_oracle",
+               "tests/test_kernel.py::test_pow_matches_recurrence"]},
 ]
 
 

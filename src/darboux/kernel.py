@@ -1,11 +1,12 @@
 """The exact integer product kernel under series and polynomial arithmetic.
 
 ``series.ps_mul``, the Newton inverse behind ``series.ps_div``,
-``series._horner`` (the one evaluator of a coefficient list at a series,
-behind ``ps_compose`` and ``UniPoly.eval_series``) and
-``polyalg.UniPoly.__mul__`` all multiply coefficient lists here, and
-``UniPoly`` adds and scales its vectors with ``_kdot``; ``series.ps_pow``
-raises them to rational powers here, by a fraction-free recurrence;
+``series._horner`` (the one evaluator of a coefficient vector at a
+series, behind ``ps_compose`` and ``UniPoly.eval_series``) and
+``polyalg.UniPoly.__mul__`` all multiply integer vectors here, and
+``UniPoly`` and ``PuiseuxSeries``, which each hold one such vector, add
+and scale them with ``_kdot``; ``series.ps_pow`` raises them to rational
+powers here, by a fraction-free recurrence;
 ``UniPoly.divmod`` and ``UniPoly.gcd`` divide them here, by a Newton
 inverse of the reversed divisor that a caller can keep and extend, and
 ``UniPoly.gcd`` evaluates rational ones at xi = 2**(8*w) with ``_pack`` and
@@ -14,9 +15,10 @@ reads the digits of one integer gcd back with ``_unpack``.
 ``_horner`` takes baby steps and giant steps (Paterson & Stockmeyer 1973).
 Its baby steps are ``_kmul`` products b^i = b^(i-1) * b for i <= k, each
 cut to its own window.  Its blocks sum_i c[mk+i] b^i and its giant steps
-A_m = A_(m+1) b^k + P_m are each one ``_kdot``: scalars times integer
-vectors at slot offsets, over one common denominator.  The giant step of
-block m is cut where the window, shifted by the m*k*v still to come, ends.
+A_m = A_(m+1) b^k + P_m are each one ``_kdot``: one-slot vectors times
+integer vectors at slot offsets, over one common denominator.  The giant
+step of block m is cut where the window, shifted by the m*k*v still to
+come, ends.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ def _scalars(v):
     if im is None:
         return [QQ(x, d) if x else ZERO for x in re]
     return [Omega(QQ(x, d), QQ(y, d)) if x or y else ZERO for x, y in zip(re, im)]
+
+
+def _scalar(v, k):
+    """Slot k of an integer vector as a scalar."""
+    re, im, d = v
+    return _scalars(([re[k]], im and [im[k]], d))[0]
 
 
 def _pack(v, w):
@@ -122,17 +130,23 @@ def _spread(v, s, n):
     return out
 
 
+# the one-slot integer vector of 1: the s of each term of a plain sum
+_UNIT = ([1], None, 1)
+
+
 def _kdot(terms, n):
-    """First n slots of the sum of s * x * z**at over terms (s, x, at): an
-    exact scalar s times an integer vector x whose slot 0 lands on slot at
-    (a negative at drops the first -at slots of x), over one common
-    denominator.  An Omega s times a Q(w) vector takes three products."""
-    terms = [(_vec([s]), x, at) for s, x, at in terms]
+    """First n slots of the sum of s * x * z**at over terms (s, x, at): a
+    one-slot integer vector s times an integer vector x whose slot 0 lands
+    on slot at (a negative at drops the first -at slots of x, and a term
+    with at >= n adds nothing), over one common denominator.  An Omega s
+    times a Q(w) vector takes three products."""
     d = lcm(*(sd * dx for (_, _, sd), (_, _, dx), _ in terms))
     omega = any(si is not None or xi is not None for (_, si, _), (_, xi, _), _ in terms)
     re = [0] * n
     im = [0] * n if omega else None
     for (sr, si, sd), (xr, xi, dx), at in terms:
+        if at >= n:
+            continue
         f = d // (sd * dx)
         a, b = sr[0] * f, si[0] * f if si else 0
         lo = max(0, -at)
@@ -200,15 +214,16 @@ def _unit_inverse(x, n, y=None):
 
 
 def _kpow(x, p, q, n):
-    """First n coefficients, as scalars, of x**(p/q) for an integer vector x
-    whose slot 0 is 1 (x[0] == d), with q > 0.
+    """First n coefficients, as an integer vector, of x**(p/q) for an
+    integer vector x whose slot 0 is 1 (x[0] == d), with q > 0.
 
     The Miller recurrence k*y_k = sum_j ((r+1)*j - k) * u_j * y_(k-j), r = p/q,
     run fraction-free on the support sublattice of x: with u_j = U_j/d it
     keeps Y_k = y_k * k! * (q*d)**k, so that
     Y_k = sum_j ((p+q)*j - q*k) * U_j * (q*d)**(j-1) * (k-1)!/(k-j)! * Y_(k-j)
-    in integers (Z[w] products when x has a w part).  Each y_k becomes a
-    scalar once, at the end (Knuth, TAOCP vol. 2, section 4.7).
+    in integers (Z[w] products when x has a w part).  At the end, with K
+    the last k, Y_k takes the factor K!/k! * (q*d)**(K-k) and all share the
+    denominator K! * (q*d)**K (Knuth, TAOCP vol. 2, section 4.7).
     """
     xr, xi, d = x
     s = gcd(*[i for i in range(1, n) if xr[i] or (xi is not None and xi[i])]) or 1
@@ -239,13 +254,13 @@ def _kpow(x, p, q, n):
                 si += c * ((pr + pi) * (ar + ai) - t0 - 2 * t1)
         yr.append(sr)
         yi.append(si)
-    out, den = [ZERO] * n, 1
-    for k, (re, im) in enumerate(zip(yr, yi)):
-        if k:
-            den *= k * qd
-        if re or im:
-            out[k * s] = QQ(re, den) if xi is None else Omega(QQ(re, den), QQ(im, den))
-    return out
+    den = 1
+    for k in range(len(yr) - 1, 0, -1):
+        yr[k] *= den
+        yi[k] *= den
+        den *= k * qd
+    yr[0] = den
+    return _reduced(_spread(yr, s, n), None if xi is None else _spread(yi, s, n), den)
 
 
 def _canonical(re, im, d):

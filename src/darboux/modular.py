@@ -60,12 +60,12 @@ def _product(n: int, factors, grid: int = 1) -> PuiseuxSeries:
     """Unit series prod (1 + sigma q^k)^e below exponent n; k in grid units.
 
     Every factor has integer coefficients, so the product runs on a plain
-    int list and becomes rationals once, in the series it returns.
+    int list, which the series takes as its integer vector (c, None, 1).
     """
     c = [1] + [0] * (n * grid - 1)
     for k, sigma, e in factors:
         _mul_factor(c, k, sigma, e)
-    return PuiseuxSeries.make(grid, 0, map(QQ, c), n * grid)
+    return PuiseuxSeries(grid, 0, (c, None, 1), n * grid)
 
 
 def _shift(s: PuiseuxSeries, exp) -> PuiseuxSeries:
@@ -182,7 +182,7 @@ def _rr_sum(n, shift_exponent, quadratic):
         _mul_factor(term, k, -1, -1)
         total = [a + b for a, b in zip(total, term)]
         k += 1
-    return _shift(PuiseuxSeries.make(1, 0, map(QQ, total), n), shift_exponent)
+    return _shift(PuiseuxSeries(1, 0, (total, None, 1), n), shift_exponent)
 
 
 def _selberg_sum(n, lead_exponent, terms):

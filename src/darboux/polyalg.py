@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 from math import gcd, lcm
 
-from .kernel import _canonical, _kdivmod, _kdot, _kmul, _pack, _scalars, _unpack, _vec
+from .kernel import (_UNIT, _canonical, _kdivmod, _kdot, _kmul, _pack, _scalar, _scalars, _unpack,
+                     _vec)
 from .scalars import QQ, ZERO, ONE, power, scalar_inv
 from .series import PuiseuxSeries, _horner, ps_div, ps_mul
 
@@ -65,10 +66,9 @@ class UniPoly:
         return bool(self.vec[0])
 
     def __getitem__(self, k):
-        re, im, d = self.vec
-        if not 0 <= k < len(re):
+        if not 0 <= k < len(self.vec[0]):
             return ZERO
-        return _scalars(([re[k]], im and [im[k]], d))[0]
+        return _scalar(self.vec, k)
 
     @property
     def lc(self):
@@ -97,12 +97,13 @@ class UniPoly:
 
     # -- ring ops ---------------------------------------------------------
     def _plus(self, other, s):
-        """self + s * other, one ``_kdot``."""
+        """self + s * other for s = 1 or -1, one ``_kdot``."""
         a, b = self.vec, _as_poly(other).vec
-        return UniPoly._of(_kdot([(ONE, a, 0), (s, b, 0)], max(len(a[0]), len(b[0]))))
+        return UniPoly._of(_kdot([(_UNIT, a, 0), (([s], None, 1), b, 0)],
+                                 max(len(a[0]), len(b[0]))))
 
     def __add__(self, other):
-        return self._plus(other, ONE)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -111,7 +112,7 @@ class UniPoly:
         return UniPoly._of(([-c for c in re], im and [-c for c in im], d))
 
     def __sub__(self, other):
-        return self._plus(other, -ONE)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
@@ -127,7 +128,7 @@ class UniPoly:
     def scale(self, c):
         if not c:
             return UniPoly()
-        return UniPoly._of(_kdot([(c, self.vec, 0)], len(self.vec[0])))
+        return UniPoly._of(_kdot([(_vec([c]), self.vec, 0)], len(self.vec[0])))
 
     def __pow__(self, n: int):
         n = int(n)
@@ -210,15 +211,15 @@ class UniPoly:
         s that are known reach that far.  A constant is known |v(s)| beyond
         N(s), the zero polynomial to N(s).
         """
-        cs = self.coeffs
-        if not cs:
+        re, im, _ = self.vec
+        if not re:
             return PuiseuxSeries.zero(s.order_exponent, s.grid)
         v = s.lead
         if v > 0:
-            e = next((k for k, c in enumerate(cs) if k and c), 2)
+            e = next((k for k in range(1, len(re)) if re[k] or im and im[k]), 2)
         else:
             e = self.degree
-        return _horner(cs, s, s.order + (e - 1) * v)
+        return _horner(self.vec, s, s.order + (e - 1) * v)
 
 
 def _primitive(v):

@@ -1,19 +1,25 @@
 """Truncated Puiseux series over exact scalars.
 
 A series lives on an exponent grid 1/D: it is determined by integers
-``lead <= order`` (both in units of 1/D) and a coefficient tuple for the
-exponents lead/D, (lead+1)/D, ..., (order-1)/D.  The series is known
-*exactly* for every exponent below order/D and unknown beyond; every
-operation propagates the tightest provable bound, so a claimed coefficient
-is never an artifact of silent precision loss.
+``lead <= order`` (both in units of 1/D) and one integer vector
+``vec = (re, im, d)`` of ``darboux.kernel`` for the exponents lead/D,
+(lead+1)/D, ..., (order-1)/D: the coefficient of (lead+i)/D is
+(re[i] + im[i]*w)/d, with im None when the series is rational.  The series
+is known *exactly* for every exponent below order/D and unknown beyond;
+every operation propagates the tightest provable bound, so a claimed
+coefficient is never an artifact of silent precision loss.
 
-Canonical form: coeffs[0] != 0, except for the zero series which carries
-an empty tuple and lead == order.
+Canonical form: len(re) == order - lead; the vector is reduced (d > 0 and
+the gcd of d and every numerator is 1); slot 0 is nonzero (re[0] or
+im[0]), except for the zero series, whose vec is ([], None, 1) with
+lead == order.  Equal values on one grid and window have one vector.
+Scalars are built only where a coefficient is read (``coefficient``,
+``terms``, ``coeffs``, a mismatch's values); ``make`` takes scalars.
 
-Every product of coefficient lists (``ps_mul``, the Newton inverse behind
+Every product of coefficient vectors (``ps_mul``, the Newton inverse behind
 ``ps_div`` and ``_horner``) and every power (``ps_pow``) runs on the exact
 integer kernel in ``darboux.kernel``.  ``_horner`` is the one evaluator of
-a coefficient list at a series: ``ps_compose`` and
+a coefficient vector at a series: ``ps_compose`` and
 ``polyalg.UniPoly.eval_series`` both go through it.  It takes baby steps
 and giant steps (Paterson & Stockmeyer 1973; Brent & Kung 1978): for K
 steps that reach the window and k = isqrt(K), the baby powers b^0 ... b^k,
@@ -26,7 +32,8 @@ from __future__ import annotations
 
 from math import isqrt, lcm
 
-from .kernel import _kdot, _kmul, _kpow, _reduced, _scalars, _unit_inverse, _vec
+from .kernel import (_UNIT, _kdot, _kmul, _kpow, _reduced, _scalar, _scalars, _spread,
+                     _unit_inverse, _vec)
 from .scalars import QQ, ZERO, ONE
 
 __all__ = [
@@ -54,13 +61,13 @@ def _ceil_div(n, d):
 
 
 class PuiseuxSeries:
-    __slots__ = ("grid", "lead", "coeffs", "order")
+    __slots__ = ("grid", "lead", "vec", "order")
 
-    def __init__(self, grid: int, lead: int, coeffs, order: int):
-        # trusts its inputs; use make() to canonicalize
+    def __init__(self, grid: int, lead: int, vec, order: int):
+        # trusts its inputs; use make() or _of() to canonicalize
         self.grid = grid
         self.lead = lead
-        self.coeffs = tuple(coeffs)
+        self.vec = vec
         self.order = order
 
     @staticmethod
@@ -70,18 +77,27 @@ class PuiseuxSeries:
         coeffs = list(coeffs)
         if len(coeffs) != order - lead:
             raise ValueError("coefficient count does not match lead/order")
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            lead += 1
-        if not coeffs:
-            lead = order
-        return PuiseuxSeries(grid, lead, coeffs, order)
+        return PuiseuxSeries._of(grid, lead, _vec(coeffs), order)
+
+    @staticmethod
+    def _of(grid: int, lead: int, v, order: int) -> "PuiseuxSeries":
+        """The series of an integer vector on grid indices lead .. order-1,
+        without its leading zero slots (those whose re and im are both 0)
+        and reduced."""
+        re, im, d = v
+        i = 0
+        while i < len(re) and not re[i] and (im is None or not im[i]):
+            i += 1
+        if i == len(re):
+            return _zero(grid, order)
+        if i:
+            re, im = re[i:], None if im is None else im[i:]
+        return PuiseuxSeries(grid, lead + i, _reduced(re, im, d), order)
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zero(order_exp, grid: int = 1) -> "PuiseuxSeries":
-        n = _exp_to_grid_floorplus(order_exp, grid)
-        return PuiseuxSeries(grid, n, (), n)
+        return _zero(grid, _exp_to_grid_floorplus(order_exp, grid))
 
     @staticmethod
     def const(c, order_exp, grid: int = 1) -> "PuiseuxSeries":
@@ -111,7 +127,7 @@ class PuiseuxSeries:
             grid = lcm(grid, int(e.denominator))
         n = _exp_to_grid_floorplus(order_exp, grid)
         if not pairs:
-            return PuiseuxSeries(grid, n, (), n)
+            return _zero(grid, n)
         idx = [int(e.numerator) * (grid // int(e.denominator)) for e, _ in pairs]
         lead = min(idx)
         if n <= max(idx):
@@ -130,8 +146,13 @@ class PuiseuxSeries:
     def order_exponent(self):
         return QQ(self.order, self.grid)
 
+    @property
+    def coeffs(self):
+        """The coefficient tuple, built from the vector at each read."""
+        return tuple(_scalars(self.vec))
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vec[0]
 
     def coefficient(self, exp):
         e = QQ(exp)
@@ -141,12 +162,15 @@ class PuiseuxSeries:
         k = num // e.denominator
         if k >= self.order:
             raise ValueError(f"coefficient of exponent {e} is beyond the known order")
-        if k < self.lead:
-            return ZERO
-        return self.coeffs[k - self.lead]
+        return self._at(k)
+
+    def _at(self, k):
+        """The coefficient at grid index k, ZERO outside the slots."""
+        i = k - self.lead
+        return _scalar(self.vec, i) if 0 <= i < len(self.vec[0]) else ZERO
 
     def terms(self):
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(_scalars(self.vec)):
             if c:
                 yield QQ(self.lead + i, self.grid), c
 
@@ -167,39 +191,35 @@ class PuiseuxSeries:
         if grid % self.grid:
             raise ValueError("grid refinement must be a multiple of the old grid")
         f = grid // self.grid
-        coeffs = [ZERO] * (len(self.coeffs) * f)
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * f] = c
-        return PuiseuxSeries(grid, self.lead * f, coeffs, self.order * f)
+        re, im, d = self.vec
+        n = len(re) * f
+        return PuiseuxSeries(grid, self.lead * f,
+                             (_spread(re, f, n), im and _spread(im, f, n), d), self.order * f)
 
     # -- arithmetic -------------------------------------------------------
     def __neg__(self):
-        return PuiseuxSeries(self.grid, self.lead, [-c for c in self.coeffs], self.order)
+        re, im, d = self.vec
+        return PuiseuxSeries(self.grid, self.lead,
+                             ([-c for c in re], im and [-c for c in im], d), self.order)
 
     def __add__(self, other):
+        """The sum, one ``_kdot``; its coefficients are Omega when either
+        operand has a w part, as with the kernel's products."""
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         g = lcm(self.grid, other.grid)
         a, b = self.to_grid(g), other.to_grid(g)
         order = min(a.order, b.order)
-        if a.is_zero() and b.is_zero():
-            return PuiseuxSeries(g, order, (), order)
-        lead = min(a.lead if a.coeffs else order, b.lead if b.coeffs else order)
-        out = [ZERO] * (order - lead)
-        for s in (a, b):
-            for i, c in enumerate(s.coeffs):
-                k = s.lead + i - lead
-                if 0 <= k < len(out):
-                    out[k] = out[k] + c
-        return PuiseuxSeries.make(g, lead, out, order)
+        lead = min(a.lead, b.lead, order)
+        acc = _kdot([(_UNIT, a.vec, a.lead - lead), (_UNIT, b.vec, b.lead - lead)], order - lead)
+        return PuiseuxSeries._of(g, lead, acc, order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "PuiseuxSeries":
-        if not c:
-            return PuiseuxSeries(self.grid, self.order, (), self.order)
-        return PuiseuxSeries.make(self.grid, self.lead, [c * x for x in self.coeffs], self.order)
+        acc = _kdot([(_vec([c]), self.vec, 0)], len(self.vec[0]))
+        return PuiseuxSeries._of(self.grid, self.lead, acc, self.order)
 
     def __mul__(self, other):
         if isinstance(other, PuiseuxSeries):
@@ -213,18 +233,29 @@ class PuiseuxSeries:
         if n >= self.order:
             return self
         m = max(n, self.lead)
-        return PuiseuxSeries.make(self.grid, self.lead, self.coeffs[: m - self.lead], m)
+        re, im, d = self.vec
+        k = m - self.lead
+        return PuiseuxSeries._of(self.grid, self.lead, (re[:k], im and im[:k], d), m)
+
+    def _times_exponent(self):
+        """The vector of the coefficients times their exponents."""
+        re, im, d = self.vec
+        lead = self.lead
+        return ([(lead + i) * c for i, c in enumerate(re)],
+                im and [(lead + i) * c for i, c in enumerate(im)], d * self.grid)
 
     def derivative(self) -> "PuiseuxSeries":
         g = self.grid
-        coeffs = [c * QQ(self.lead + i, g) for i, c in enumerate(self.coeffs)]
-        return PuiseuxSeries.make(g, self.lead - g, coeffs, self.order - g)
+        return PuiseuxSeries._of(g, self.lead - g, self._times_exponent(), self.order - g)
 
     def zderivative(self) -> "PuiseuxSeries":
         """Apply z*d/dz (multiplies each coefficient by its exponent)."""
-        g = self.grid
-        coeffs = [c * QQ(self.lead + i, g) for i, c in enumerate(self.coeffs)]
-        return PuiseuxSeries.make(g, self.lead, coeffs, self.order)
+        return PuiseuxSeries._of(self.grid, self.lead, self._times_exponent(), self.order)
+
+
+def _zero(grid: int, n: int) -> PuiseuxSeries:
+    """The zero series known below grid index n."""
+    return PuiseuxSeries(grid, n, ([], None, 1), n)
 
 
 def _exp_to_grid_floorplus(exp, grid: int) -> int:
@@ -239,14 +270,11 @@ def ps_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     """Exact product; order = min(Na + lead_b, Nb + lead_a)."""
     g = lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
-    la = a.lead if a.coeffs else a.order
-    lb = b.lead if b.coeffs else b.order
-    order = min(a.order + lb, b.order + la)
+    order = min(a.order + b.lead, b.order + a.lead)
     if a.is_zero() or b.is_zero():
-        return PuiseuxSeries(g, order, (), order)
+        return _zero(g, order)
     lead = a.lead + b.lead
-    out = _kmul(_vec(a.coeffs), _vec(b.coeffs), order - lead)
-    return PuiseuxSeries.make(g, lead, _scalars(out), order)
+    return PuiseuxSeries._of(g, lead, _kmul(a.vec, b.vec, order - lead), order)
 
 
 def ps_div(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
@@ -259,15 +287,12 @@ def ps_div(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
         raise ZeroDivisionError("division by the zero series")
     g = lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
-    rel = b.order - b.lead
-    la = a.lead if a.coeffs else a.order
-    order = min(a.order - b.lead, rel - b.lead + la)
+    order = min(a.order - b.lead, b.order - 2 * b.lead + a.lead)
     if a.is_zero():
-        return PuiseuxSeries(g, order, (), order)
+        return _zero(g, order)
     lead = a.lead - b.lead
     n = order - lead
-    out = _kmul(_vec(a.coeffs), _unit_inverse(_vec(b.coeffs), n), n)
-    return PuiseuxSeries.make(g, lead, _scalars(out), order)
+    return PuiseuxSeries._of(g, lead, _kmul(a.vec, _unit_inverse(b.vec, n), n), order)
 
 
 def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
@@ -281,9 +306,10 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
     r = QQ(r)
     if a.is_zero():
         raise PowBaseError("fractional power of the zero series")
-    if a.coeffs[0] != ONE:
+    re, im, d = a.vec
+    if re[0] != d or im and im[0]:
         raise PowBaseError(
-            f"series power requires unit coefficient 1, got {a.coeffs[0]!r}"
+            f"series power requires unit coefficient 1, got {_scalar(a.vec, 0)!r}"
         )
     if r == 1:
         return a
@@ -292,16 +318,16 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
     rel = a.order - a.lead
     lead = int(new_lead.numerator) * (g // int(new_lead.denominator))
     f = g // a.grid
-    coeffs = [ZERO] * (rel * f)
-    coeffs[::f] = _kpow(_vec(a.coeffs), int(r.numerator), int(r.denominator), rel)
-    return PuiseuxSeries.make(g, lead, coeffs, lead + rel * f)
+    yr, yi, dy = _kpow(a.vec, int(r.numerator), int(r.denominator), rel)
+    n = rel * f
+    return PuiseuxSeries(g, lead, (_spread(yr, f, n), yi and _spread(yi, f, n), dy), lead + n)
 
 
 def _horner(c, b: PuiseuxSeries, stop: int) -> PuiseuxSeries:
-    """sum of c[j] b^j for a coefficient list c and a nonzero series b of
+    """sum of c[j] b^j for a coefficient vector c and a nonzero series b of
     any valuation v, exact below grid index stop of b's grid.
 
-    Every evaluation of a coefficient list at a series runs here, by baby
+    Every evaluation of a coefficient vector at a series runs here, by baby
     steps and giant steps (Paterson & Stockmeyer 1973).  Only the terms
     with j*v < stop reach the window; let top be the last of them and
     k = isqrt(top + 1).  The integer vectors run on one anchor, grid index
@@ -309,33 +335,45 @@ def _horner(c, b: PuiseuxSeries, stop: int) -> PuiseuxSeries:
     b^k are built on the kernel, b^i cut at stop - max(0, i*v) - base.
     Block m is P_m = sum_i c[mk+i] b^i, and the giant steps run Horner in
     b^k over the blocks: A_m = A_(m+1) b^k + P_m, one scalar-times-vector
-    sum (kernel._kdot) per block.  A_m still gets multiplied by b^k m more
-    times, which shifts it by m*k*v; so it is kept only below
-    stop - m*k*v.  For top < 3, k = 1 and this is plain Horner.  The
-    caller keeps stop where the known coefficients of b reach: below
-    N(b) + (e-1)*v, with e the lowest power >= 1 present when v > 0 and
-    the top power otherwise.
+    sum (kernel._kdot) per block; a coefficient brings a w part only when
+    its own is nonzero.  A_m still gets multiplied by b^k m more times,
+    which shifts it by m*k*v; so it is kept only below stop - m*k*v.  For
+    top < 3, k = 1 and this is plain Horner.  The caller keeps stop where
+    the known coefficients of b reach: below N(b) + (e-1)*v, with e the
+    lowest power >= 1 present when v > 0 and the top power otherwise.
     """
     v = b.lead
-    live = [j for j, cj in enumerate(c) if cj and j * v < stop]
+    cr, ci, cd = c
+    live = [j for j in range(len(cr)) if (cr[j] or ci and ci[j]) and j * v < stop]
     if not live:
-        return PuiseuxSeries(b.grid, stop, (), stop)
+        return _zero(b.grid, stop)
     top = live[-1]
     base = min(0, top * v)
     k = isqrt(top + 1)
-    powers = [([1], None, 1), _vec(b.coeffs)]
+    powers = [_UNIT, b.vec]
     for i in range(2, k + 1):
         powers.append(_kmul(powers[-1], powers[1], stop - max(0, i * v) - base))
     acc = None
     for m in range(top // k, -1, -1):
-        terms = [(c[j], powers[j - m * k], (j - m * k) * v - base)
+        terms = [(([cr[j]], [ci[j]] if ci and ci[j] else None, cd), powers[j - m * k],
+                  (j - m * k) * v - base)
                  for j in live if m * k <= j < (m + 1) * k]
         if acc is not None:
             # the product starts at base + k*v: lift it by k*v, or drop -k*v slots
-            terms.append((ONE, _kmul(acc, powers[k], len(acc[0])), k * v))
+            terms.append((_UNIT, _kmul(acc, powers[k], len(acc[0])), k * v))
         if terms:
             acc = _reduced(*_kdot(terms, stop - m * k * v - base))
-    return PuiseuxSeries.make(b.grid, base, _scalars(acc), stop)
+    return PuiseuxSeries._of(b.grid, base, acc, stop)
+
+
+def _part(a: PuiseuxSeries, exps):
+    """The coefficient vector of a at the grid indices exps, 0 where a has
+    no slot."""
+    re, im, d = a.vec
+    idx = [e - a.lead for e in exps]
+    have = range(len(re))
+    return ([re[i] if i in have else 0 for i in idx],
+            im and [im[i] if i in have else 0 for i in idx], d)
 
 
 def ps_compose(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
@@ -351,21 +389,19 @@ def ps_compose(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     vb = b.lead_exponent
     nb = b.order_exponent
     bound = QQ(a.order) * vb
-    support = [a.lead + i for i, c in enumerate(a.coeffs) if c and (a.lead + i)]
+    re, im, _ = a.vec
+    support = [a.lead + i for i in range(len(re)) if (re[i] or im and im[i]) and a.lead + i]
     if support:
         e0 = min(support)
         bound = min(bound, nb + (e0 - 1) * vb)
     stop = _exp_to_grid_floorplus(bound, b.grid)
-
-    def at(k):
-        return a.coeffs[k - a.lead] if 0 <= k - a.lead < len(a.coeffs) else ZERO
-
-    acc = _horner([at(k) for k in range(a.order)], b, stop)
+    acc = _horner(_part(a, range(a.order)), b, stop)
     if a.lead < 0:
         # 1/b is known below N(b) - 2v(b): its window N(b) - (1 - a.lead)v(b)
-        # is the bound's second term
+        # is the bound's second term; slot 0 is a.order, where a has none,
+        # since the constant belongs to the part above
         binv = ps_div(PuiseuxSeries.const(ONE, nb - vb, b.grid), b)
-        acc = acc + _horner([at(-k) if k else ZERO for k in range(1 - a.lead)], binv, stop)
+        acc = acc + _horner(_part(a, [a.order, *range(-1, a.lead - 1, -1)]), binv, stop)
     return acc
 
 
@@ -373,7 +409,8 @@ def first_mismatch(a: PuiseuxSeries, b: PuiseuxSeries, below=None):
     """First exponent where the two series disagree, or None.
 
     Compares every exponent < min(orders, below); raises if that window is
-    empty while a bound was requested.
+    empty while a bound was requested.  Slot values are compared as
+    numerators cross-multiplied by the other side's denominator.
     """
     g = lcm(a.grid, b.grid)
     a, b = a.to_grid(g), b.to_grid(g)
@@ -385,10 +422,21 @@ def first_mismatch(a: PuiseuxSeries, b: PuiseuxSeries, below=None):
                 f"series only known below {QQ(stop, g)}, cannot compare below {below}"
             )
         stop = min(stop, want)
-    start = min(a.lead if a.coeffs else stop, b.lead if b.coeffs else stop)
-    for k in range(start, stop):
-        ca = a.coeffs[k - a.lead] if 0 <= k - a.lead < len(a.coeffs) else ZERO
-        cb = b.coeffs[k - b.lead] if 0 <= k - b.lead < len(b.coeffs) else ZERO
-        if ca != cb:
-            return QQ(k, g), ca, cb
-    return None
+    start = min(a.lead, b.lead, stop)
+    da, db = a.vec[2], b.vec[2]
+    ra, ia = _window(a, start, stop, db)
+    rb, ib = _window(b, start, stop, da)
+    if ra == rb and ia == ib:
+        return None
+    k = next(i for i, (x, y, u, v) in enumerate(zip(ra, rb, ia, ib)) if x != y or u != v)
+    return QQ(start + k, g), a._at(start + k), b._at(start + k)
+
+
+def _window(s: PuiseuxSeries, start: int, stop: int, m: int):
+    """re and im of s on grid indices start .. stop-1, s.lead >= start, each
+    numerator times m, 0 outside s's slots and im all 0 when s has none."""
+    re, im, _ = s.vec
+    front = [0] * min(s.lead - start, stop - start)
+    k = max(0, stop - s.lead)
+    r = front + [x * m for x in re[:k]]
+    return r, [0] * len(r) if im is None else front + [y * m for y in im[:k]]

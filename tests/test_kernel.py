@@ -8,11 +8,15 @@ full bound, and powers of 1/b below exponent 0), of UniPoly.eval_series
 series._horner (Horner with one kernel product per step, where the
 evaluator now takes baby steps and giant steps; the slot types must match
 too), of ps_pow
-(the Miller recurrence over every grid slot) and of UniPoly.__mul__ (the
-schoolbook convolution).  The kernel must reproduce their results exactly:
-the same grid, lead, order and coefficients, or the same polynomial.  The
-one exception is a polynomial at an argument of negative valuation, whose
-window may only be higher.
+(the Miller recurrence over every grid slot), of UniPoly.__mul__ (the
+schoolbook convolution) and of the series sum, scaling, grid refinement,
+truncation, derivatives and first_mismatch over coefficient tuples (before
+a series became one integer vector).  The kernel must reproduce their
+results exactly: the same grid, lead, order and coefficients, or the same
+polynomial.  The one exception is a polynomial at an argument of negative
+valuation, whose window may only be higher.  Slot types follow the
+kernel's rule: nonzero coefficients are Omega exactly when an operand has
+a w part, for sums too, and zero slots are the rational 0.
 """
 
 from fractions import Fraction
@@ -21,7 +25,7 @@ from math import gcd, lcm
 from hypothesis import given, settings, strategies as st
 
 import darboux.kernel as kernel_module
-from darboux.kernel import _kmul, _pack, _reduced, _scalars, _unpack, _vec
+from darboux.kernel import _kdot, _kmul, _pack, _reduced, _scalars, _unpack, _vec
 from darboux.polyalg import UniPoly
 from darboux.scalars import QQ, ZERO, ONE, Omega, scalar_inv
 from darboux.series import PuiseuxSeries, _horner, first_mismatch, ps_compose, ps_div, ps_mul, ps_pow
@@ -31,6 +35,11 @@ from darboux.series import PuiseuxSeries, _horner, first_mismatch, ps_compose, p
 # reference implementations
 # ---------------------------------------------------------------------------
 
+def zero_at(grid, order):
+    """The zero series known below grid index order."""
+    return PuiseuxSeries.make(grid, order, (), order)
+
+
 def ref_mul(a, b):
     """Product by direct convolution of the coefficient lists."""
     g = lcm(a.grid, b.grid)
@@ -39,7 +48,7 @@ def ref_mul(a, b):
     lb = b.lead if b.coeffs else b.order
     order = min(a.order + lb, b.order + la)
     if a.is_zero() or b.is_zero():
-        return PuiseuxSeries(g, order, (), order)
+        return zero_at(g, order)
     lead = a.lead + b.lead
     n = order - lead
     out = [ZERO] * n
@@ -127,7 +136,7 @@ def ref_horner(c, b, stop):
     base = min(0, top * v)
     steps = range(min(top, (stop - 1) // v) if v > 0 else top, -1, -1)
     if stop <= base or not steps:
-        return PuiseuxSeries(b.grid, stop, (), stop)
+        return zero_at(b.grid, stop)
     bvec = _vec(b.coeffs)
     re, im, d = [], None, 1
     for k in steps:
@@ -141,6 +150,8 @@ def ref_horner(c, b, stop):
             re, im = [0] * cut, None if im is None else [0] * cut
         if c[k] and -base < cut:
             cr, ci, cd = _vec([c[k]])
+            if ci is not None and not ci[0]:
+                ci = None           # a zero w part brings none
             dn = lcm(d, cd)
             if dn != d:
                 re = [x * (dn // d) for x in re]
@@ -191,6 +202,96 @@ def ref_poly_mul(p, q):
             if b:
                 out[i + j] = out[i + j] + a * b
     return UniPoly(out)
+
+
+def ref_series(grid, lead, coeffs, order):
+    """The series of a scalar list, its leading zeros stripped on the
+    scalars, built without ``make``."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[0]:
+        coeffs.pop(0)
+        lead += 1
+    return PuiseuxSeries(grid, lead, _vec(coeffs), order) if coeffs else zero_at(grid, order)
+
+
+def ref_to_grid(a, grid):
+    """The coefficient tuple spread onto a finer grid."""
+    if grid == a.grid:
+        return a
+    f = grid // a.grid
+    coeffs = [ZERO] * (len(a.coeffs) * f)
+    for i, c in enumerate(a.coeffs):
+        coeffs[i * f] = c
+    return ref_series(grid, a.lead * f, coeffs, a.order * f)
+
+
+def ref_add(a, b):
+    """Sum by adding the coefficients slot by slot."""
+    g = lcm(a.grid, b.grid)
+    a, b = ref_to_grid(a, g), ref_to_grid(b, g)
+    order = min(a.order, b.order)
+    if a.is_zero() and b.is_zero():
+        return zero_at(g, order)
+    lead = min(a.lead if a.coeffs else order, b.lead if b.coeffs else order)
+    out = [ZERO] * (order - lead)
+    for s in (a, b):
+        for i, c in enumerate(s.coeffs):
+            k = s.lead + i - lead
+            if 0 <= k < len(out):
+                out[k] = out[k] + c
+    return ref_series(g, lead, out, order)
+
+
+def ref_scale(a, c):
+    if not c:
+        return zero_at(a.grid, a.order)
+    return ref_series(a.grid, a.lead, [c * x for x in a.coeffs], a.order)
+
+
+def ref_truncate(a, order_exp):
+    n = -(-QQ(order_exp).numerator * a.grid // QQ(order_exp).denominator)
+    if n >= a.order:
+        return a
+    m = max(n, a.lead)
+    return ref_series(a.grid, a.lead, a.coeffs[: m - a.lead], m)
+
+
+def ref_derivative(a, z=False):
+    """d/dz, or z*d/dz when z is set, coefficient by coefficient."""
+    g = a.grid
+    coeffs = [c * QQ(a.lead + i, g) for i, c in enumerate(a.coeffs)]
+    shift = 0 if z else g
+    return ref_series(g, a.lead - shift, coeffs, a.order - shift)
+
+
+def ref_first_mismatch(a, b, below=None):
+    """The first exponent below min(orders, below) whose coefficients
+    differ as scalars, with both of them."""
+    g = lcm(a.grid, b.grid)
+    a, b = ref_to_grid(a, g), ref_to_grid(b, g)
+    stop = min(a.order, b.order)
+    if below is not None:
+        want = -(-QQ(below).numerator * g // QQ(below).denominator)
+        if stop < want:
+            raise ValueError(f"series only known below {QQ(stop, g)}, cannot compare below {below}")
+        stop = min(stop, want)
+    start = min(a.lead if a.coeffs else stop, b.lead if b.coeffs else stop)
+    for k in range(start, stop):
+        ca = a.coeffs[k - a.lead] if 0 <= k - a.lead < len(a.coeffs) else ZERO
+        cb = b.coeffs[k - b.lead] if 0 <= k - b.lead < len(b.coeffs) else ZERO
+        if ca != cb:
+            return QQ(k, g), ca, cb
+    return None
+
+
+def ref_kdot(terms, n):
+    """The scalars of slots 0 .. n-1 of sum s * x * z**at, slot by slot."""
+    out = [ZERO] * n
+    for s, x, at in terms:
+        for i, c in enumerate(x):
+            if 0 <= i + at < n:
+                out[i + at] = out[i + at] + s * c
+    return out
 
 
 def assert_same(got, want):
@@ -272,7 +373,7 @@ def series(draw, kind="rational", step=None, lead=None, grid=None, max_terms=12,
 
 def zero_series(step):
     return st.builds(lambda o: PuiseuxSeries.zero(o), st.integers(min_value=-2, max_value=6)) \
-        if step == 1 else st.just(PuiseuxSeries(step, 5 * step, (), 5 * step))
+        if step == 1 else st.just(zero_at(step, 5 * step))
 
 
 kinds = st.sampled_from(("rational", "omega", "mixed"))
@@ -356,12 +457,126 @@ def test_compose_skips_steps_beyond_the_bound():
 
 
 # ---------------------------------------------------------------------------
+# sums, scaling, grids, windows, derivatives and comparison on the vectors
+# ---------------------------------------------------------------------------
+
+@st.composite
+def any_series(draw, kind):
+    """A series on grid 1, 2, 3 or 42 (support step 1, 3 or 42), or now
+    and then a zero series on grid 1, 2 or 42."""
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        o = draw(st.integers(min_value=-6, max_value=12))
+        return zero_at(draw(st.sampled_from((1, 2, 42))), o)
+    return draw(series(kind, draw(st.sampled_from((1, 3, 42))), max_terms=8))
+
+
+def assert_slot_types(got, want):
+    assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_add_matches_the_tuple_loop(data, ka, kb):
+    """Values, lead and order as the slot loop gives them; the slots are
+    Omega when either operand has a w part, as for products."""
+    a = data.draw(any_series(ka))
+    if a.is_zero() or data.draw(st.booleans()):
+        b = data.draw(any_series(kb))
+    else:
+        # b cancels the rational part of a's lead: the sum's lead is a w
+        # part alone, or it moves up
+        c = a.coeffs[0]
+        b = PuiseuxSeries.monomial(a.lead_exponent, a.order_exponent,
+                                   -c.a if isinstance(c, Omega) else -c)
+    got = a + b
+    assert_same(got, ref_add(a, b))
+    assert_types(got, a, b)
+    got = a - b
+    assert_same(got, ref_add(a, ref_scale(b, -ONE)))
+    assert_types(got, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_scale_matches_the_tuple_loop(data, ka, kc):
+    a, c = data.draw(any_series(ka)), data.draw(scalar[kc])
+    got = a.scale(c)
+    assert_same(got, ref_scale(a, c))
+    assert_types(got, a, PuiseuxSeries.const(c, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), kinds, st.sampled_from((1, 2, 7)),
+       st.fractions(min_value=-8, max_value=14, max_denominator=6))
+def test_grid_and_window_match_the_tuple_loops(data, kind, f, e):
+    """to_grid and truncate keep every slot's type; the derivatives follow
+    the type rule."""
+    a = data.draw(any_series(kind))
+    for got, want in ((a.to_grid(a.grid * f), ref_to_grid(a, a.grid * f)),
+                      (a.truncate(QQ(e)), ref_truncate(a, QQ(e)))):
+        assert_same(got, want)
+        assert_slot_types(got, want)
+    for got, want in ((a.derivative(), ref_derivative(a)),
+                      (a.zderivative(), ref_derivative(a, z=True))):
+        assert_same(got, want)
+        assert_types(got, a)
+
+
+def mismatch_outcome(find, a, b, below):
+    """The exponent and both values with their types, or the error."""
+    try:
+        hit = find(a, b, below)
+    except ValueError as e:
+        return str(e)
+    return hit and (hit[0], type(hit[1]), hit[1], type(hit[2]), hit[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), kinds, kinds)
+def test_first_mismatch_matches_the_tuple_loop(data, ka, kb):
+    """Against another series, against the same values on a finer grid and
+    against one slot bumped, whose denominator may differ."""
+    a = data.draw(any_series(ka))
+    how = data.draw(st.sampled_from(("other", "finer", "bumped")))
+    if how == "other":
+        b = data.draw(any_series(kb))
+    elif how == "finer":
+        b = a.to_grid(a.grid * data.draw(st.sampled_from((2, 3))))
+    else:
+        k = data.draw(st.integers(min_value=-4, max_value=12))
+        b = a + PuiseuxSeries.monomial(QQ(k, a.grid), a.order_exponent + 1,
+                                       data.draw(nonzero[kb])) if k < a.order else a
+    below = data.draw(st.one_of(st.none(), st.integers(min_value=-4, max_value=14)))
+    for x, y in ((a, b), (b, a)):
+        assert mismatch_outcome(first_mismatch, x, y, below) == \
+            mismatch_outcome(ref_first_mismatch, x, y, below)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=6), kinds)
+def test_kdot_matches_a_plain_loop(data, n, kind):
+    """Offsets from -n-2 to n+2: a term at or past n adds nothing, one below
+    0 drops its first slots."""
+    terms = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        s = data.draw(nonzero[kind])
+        x = data.draw(st.lists(scalar[kind], min_size=1, max_size=8))
+        terms.append((s, x, data.draw(st.integers(min_value=-n - 2, max_value=n + 2))))
+    got = _kdot([(_vec([s]), _vec(x), at) for s, x, at in terms], n)
+    assert _scalars(got) == ref_kdot(terms, n)
+
+
+def test_kdot_skips_a_term_past_the_window():
+    assert _kdot([(([1], None, 1), ([1, 2, 3], None, 1), 5)], 3) == ([0, 0, 0], None, 1)
+
+
+# ---------------------------------------------------------------------------
 # the evaluator, by baby steps and giant steps, against one step per term
 # ---------------------------------------------------------------------------
 
 def assert_horner(c, b, stop):
     """Values, lead, order and the type of every slot as the loop gives them."""
-    got = _horner(c, b, stop)
+    got = _horner(_vec(c), b, stop)
     want = ref_horner(c, b, stop)
     assert_same(got, want)
     assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]

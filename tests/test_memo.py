@@ -29,7 +29,8 @@ def _build(entries):
     out = {}
     for key in entries:
         s = chart_series(*key, N)
-        out[key] = PuiseuxSeries(s.grid, s.lead, s.coeffs, s.order)
+        re, im, d = s.vec
+        out[key] = PuiseuxSeries(s.grid, s.lead, (list(re), im and list(im), d), s.order)
     return out
 
 

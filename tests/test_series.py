@@ -343,6 +343,25 @@ def test_grid_lcm_after_binary_ops(a, b):
     assert ps_mul(a, b).grid == g
 
 
+def test_a_lead_with_a_zero_rational_part_is_kept():
+    a = PuiseuxSeries.make(1, 0, [W, QQ(1), QQ(2)], 3)
+    assert (a.lead, a.coefficient(0)) == (0, W)
+    s = a + S([(0, 1), (1, -1)], 3)           # (1 + w) + 0*z + 2z^2
+    assert (s.lead, s.coefficient(0), s.coefficient(1)) == (0, 1 + W, 0)
+    d = s - S([(0, 1)], 3)
+    assert (d.lead, d.coefficient(0)) == (0, W)
+
+
+def test_first_mismatch_cross_multiplies_the_denominators():
+    # equal values over the denominators 6 and 10, then different ones
+    a = S([(0, rat(1, 2)), (1, rat(1, 3))], 4)
+    b = S([(0, rat(1, 2)), (1, rat(1, 5))], 4)
+    assert first_mismatch(a, b) == (QQ(1), QQ(1, 3), QQ(1, 5))
+    # the numerators 1 and 2 agree over the denominators 2 and 1
+    assert first_mismatch(S([(0, rat(1, 2)), (1, 1)], 4), S([(0, 1), (1, 2)], 4)) == \
+        (QQ(0), QQ(1, 2), QQ(1))
+
+
 def test_first_mismatch_reports_exponent_and_values():
     a = S([(0, 1), (1, 2)], 6)
     b = S([(0, 1), (1, 3)], 6)
