@@ -41,6 +41,8 @@ _CONTROLS = "tests/test_memo.py::test_control_report_is_the_same_on_a_cold_and_a
 _TRACE = "tests/test_src_callers.py::test_every_function_is_entered_or_allowed"
 _RESULTANT = ["tests/test_polyalg.py::test_resultant_matches_the_sylvester_determinant",
               "tests/test_second_opinion.py::test_resultant_matches_sympy"]
+_CROSSOVER = ["tests/test_kernel.py::test_mul_on_both_sides_of_the_crossover",
+              "tests/test_kernel.py::test_poly_mul_on_both_sides_of_the_crossover"]
 _HOMOGENEOUS = ["tests/test_polyalg.py::test_homogeneous_matches_a_sum_of_pair_powers",
                 "tests/test_ellcurve.py::test_subst_matches_the_horner_oracle",
                 "tests/test_belyi.py::test_cover_relation_phi3_phi7"]
@@ -144,6 +146,23 @@ MUTANTS = [
      "new": "for k in range(len(yr) - 1, 1, -1):",
      "nodes": ["tests/test_series.py::test_pow_binomial_oracle",
                "tests/test_kernel.py::test_pow_matches_recurrence"]},
+    {"name": "term-by-term product one slot short in the shorter factor",
+     "file": "src/darboux/kernel.py",
+     "old": "for i, a in enumerate(x):",
+     "new": "for i, a in enumerate(x[:-1]):",
+     "nodes": _CROSSOVER + ["tests/test_kernel.py::test_poly_mul_matches_schoolbook"]},
+    {"name": "term-by-term Q(w) cross term one im*im short",
+     "file": "src/darboux/kernel.py",
+     "old": "c - r - 2 * t for",
+     "new": "c - r - t for",
+     "nodes": _CROSSOVER + ["tests/test_kernel.py::test_mul_matches_convolution"]},
+    {"name": "read-back lift that leaves the last slot out",
+     "file": "src/darboux/kernel.py",
+     "old": "_feet(w, m) << (8 * w - 1)",
+     "new": "_feet(w, m - 1) << (8 * w - 1)",
+     "nodes": ["tests/test_kernel.py::test_pack_roundtrip_at_slot_limits",
+               "tests/test_kernel.py::test_full_slots_near_the_sign_bit",
+               "tests/test_kernel.py::test_mul_matches_convolution"]},
 ]
 
 

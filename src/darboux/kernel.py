@@ -12,6 +12,12 @@ inverse of the reversed divisor that a caller can keep and extend, and
 ``UniPoly.gcd`` evaluates rational ones at xi = 2**(8*w) with ``_pack`` and
 reads the digits of one integer gcd back with ``_unpack``.
 
+``_kmul`` multiplies term by term when the shorter factor has at most
+``_TERMWISE`` = 8 slots, as most products of the check layer do: packing
+has a fixed cost per product that so few terms do not repay, and on the
+perfbench workloads 8 read faster than 4 and than 16.  Above 8 the packed
+product (Kronecker substitution) is the only path.
+
 ``_horner`` takes baby steps and giant steps (Paterson & Stockmeyer 1973).
 Its baby steps are ``_kmul`` products b^i = b^(i-1) * b for i <= k, each
 cut to its own window.  Its blocks sum_i c[mk+i] b^i and its giant steps
@@ -23,20 +29,25 @@ come, ends.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, lcm
+from operator import add
 
 from .scalars import QQ, ZERO, Omega
 
 # A coefficient list is multiplied as an integer vector (re, im, d):
 # coefficient i is (re[i] + im[i]*w) / d over one common denominator d, and
-# im is None when every coefficient is rational.  Both factors are first
-# compressed onto their support sublattice (the gcd s of the nonzero
-# offsets), so that a sparse series on grid 42 or 60 packs densely.  Each
-# integer list is then packed into one signed big integer with a slot of w
-# bytes per coefficient (Kronecker substitution): the packed product is the
-# product of the packed factors, one big multiplication, and its first slots
-# are read back.  Q(w) products take three multiplications (w*w = -1 - w).
-# Results with an Omega factor come back as Omega, others as rationals.
+# im is None when every coefficient is rational.  Both factors are first cut
+# to the window and compressed onto their support sublattice (the gcd s of
+# the nonzero offsets), so that a sparse series on grid 42 or 60 packs
+# densely.  When the shorter factor then has at most _TERMWISE slots, the
+# product runs term by term on the integer lists.  Above it, each integer
+# list is packed into one signed big integer with a slot of w bytes per
+# coefficient (Kronecker substitution): the packed product is the product of
+# the packed factors, one big multiplication, and its first slots are read
+# back.  Either way Q(w) products take three integer products
+# (w*w = -1 - w).  Results with an Omega factor come back as Omega, others
+# as rationals.
 
 
 def _vec(coeffs):
@@ -66,35 +77,89 @@ def _scalar(v, k):
 
 def _pack(v, w):
     """sum(v[i] * 2**(8*w*i)) for signed slot values v[i] of w bytes."""
-    raw = b"".join(c.to_bytes(w, "little", signed=True) for c in v)
-    # each negative slot borrowed 2**(8*w) from the slot above it
-    one, none = b"\x01" + bytes(w - 1), bytes(w)
-    borrow = bytes(w) + b"".join(one if c < 0 else none for c in v)
-    return int.from_bytes(raw, "little") - int.from_bytes(borrow, "little")
+    u = int.from_bytes(b"".join([c.to_bytes(w, "little", signed=True) for c in v]), "little")
+    # each negative slot borrowed 2**(8*w) from the slot above it: its sign
+    # bit, shifted to the foot of the slot, marks the borrow
+    return u - (((u >> (8 * w - 1)) & _feet(w, len(v))) << (8 * w))
 
 
 def _unpack(c, w, m):
     """The first m slot values of a packed integer; each must lie in
     [-2**(8*w-1), 2**(8*w-1))."""
-    raw = (c & ((1 << (8 * w * m)) - 1)).to_bytes(w * m, "little")
-    half, full = 1 << (8 * w - 1), 1 << (8 * w)
-    out, carry = [], 0
-    for i in range(0, w * m, w):
-        v = int.from_bytes(raw[i:i + w], "little") + carry
-        carry = v >= half
-        out.append(v - full if carry else v)
-    return out
+    # half a slot added to each slot makes every digit of the first m
+    # slots its value plus half, in [0, 2**(8*w)), with no carry between them
+    half = 1 << (8 * w - 1)
+    lifted = (c + (_feet(w, m) << (8 * w - 1))) & ((1 << (8 * w * m)) - 1)
+    raw = lifted.to_bytes(w * m, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * m, w)]
+
+
+def _feet(w, m):
+    """The packed integer with a 1 at the foot of each of m slots of w bytes."""
+    return int.from_bytes((b"\x01" + bytes(w - 1)) * m, "little")
+
+
+# the most slots the shorter factor of a term-by-term product has
+_TERMWISE = 8
 
 
 def _kmul(x, y, n):
     """First n coefficients of the product of two integer vectors."""
     (xr, xi, dx), (yr, yi, dy) = x, y
     parts = [None if v is None else v[:n] for v in (xr, xi, yr, yi)]
-    s = gcd(*[i for v in parts if v is not None for i, c in enumerate(v) if c]) or 1
+    s = _stride([v for v in parts if v is not None])
     if s > 1:
         parts = [None if v is None else v[::s] for v in parts]
-    xr, xi, yr, yi = parts
     m = -(-n // s)
+    product = _termwise if min(len(parts[0]), len(parts[2])) <= _TERMWISE else _packed
+    re, im = product(*parts, m)
+    if s > 1:
+        re = _spread(re, s, n)
+        im = None if im is None else _spread(im, s, n)
+    return re, im, dx * dy
+
+
+def _stride(parts):
+    """The gcd of the nonzero offsets of the integer lists, or 1 when there
+    is none past 0; the scan stops at the first offset that brings it to 1."""
+    s = 0
+    for v in parts:
+        for i in compress(range(len(v)), v):
+            s = gcd(s, i)
+            if s == 1:
+                return 1
+    return s or 1
+
+
+def _termwise(xr, xi, yr, yi, m):
+    """First m slots of the re and im parts of a product, term by term."""
+    re = _conv(xr, yr, m)
+    if xi is None:
+        return re, None if yi is None else _conv(xr, yi, m)
+    if yi is None:
+        return re, _conv(xi, yr, m)
+    # (xr + xi*w)(yr + yi*w) with w*w = -1 - w, in three products
+    ii = _conv(xi, yi, m)
+    cross = _conv(list(map(add, xr, xi)), list(map(add, yr, yi)), m)
+    return [r - t for r, t in zip(re, ii)], [c - r - 2 * t for c, r, t in zip(cross, re, ii)]
+
+
+def _conv(x, y, m):
+    """First m slots of the product of two integer lists of at most m slots,
+    one pass over the longer list per nonzero slot of the shorter."""
+    if len(x) > len(y):
+        x, y = y, x
+    out = [0] * m
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y[:m - i], i):
+                out[j] += a * b
+    return out
+
+
+def _packed(xr, xi, yr, yi, m):
+    """First m slots of the re and im parts of a product, by Kronecker
+    substitution: one big multiplication per integer product."""
     # a product slot sums at most `count` pairs, each contributing below
     # 2**(bx + by) in absolute value, or below 3 * 2**(bx + by) when both
     # sides are in Q(w) (im takes ar*bi + ai*br - ai*bi); one bit for the sign
@@ -107,21 +172,15 @@ def _kmul(x, y, n):
     w = -(-bits // 8)
     a, b = _pack(xr, w), _pack(yr, w)
     p = a * b
-    re = _unpack(p, w, m)
-    im = None
-    if xi is not None and yi is not None:
-        ai, bi = _pack(xi, w), _pack(yi, w)
-        q = ai * bi
-        re = _unpack(p - q, w, m)
-        im = _unpack((a + ai) * (b + bi) - p - 2 * q, w, m)
-    elif xi is not None:
-        im = _unpack(_pack(xi, w) * b, w, m)
-    elif yi is not None:
-        im = _unpack(a * _pack(yi, w), w, m)
-    if s > 1:
-        re = _spread(re, s, n)
-        im = None if im is None else _spread(im, s, n)
-    return re, im, dx * dy
+    if xi is None and yi is None:
+        return _unpack(p, w, m), None
+    if yi is None:
+        return _unpack(p, w, m), _unpack(_pack(xi, w) * b, w, m)
+    if xi is None:
+        return _unpack(p, w, m), _unpack(a * _pack(yi, w), w, m)
+    ai, bi = _pack(xi, w), _pack(yi, w)
+    q = ai * bi
+    return _unpack(p - q, w, m), _unpack((a + ai) * (b + bi) - p - 2 * q, w, m)
 
 
 def _spread(v, s, n):

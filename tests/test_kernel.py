@@ -25,7 +25,8 @@ from math import gcd, lcm
 from hypothesis import given, settings, strategies as st
 
 import darboux.kernel as kernel_module
-from darboux.kernel import _kdot, _kmul, _pack, _reduced, _scalars, _unpack, _vec
+from darboux.kernel import (_TERMWISE, _kdot, _kmul, _pack, _packed, _reduced, _scalars, _stride,
+                            _unpack, _vec)
 from darboux.polyalg import UniPoly
 from darboux.scalars import QQ, ZERO, ONE, Omega, scalar_inv
 from darboux.series import PuiseuxSeries, _horner, first_mismatch, ps_compose, ps_div, ps_mul, ps_pow
@@ -815,6 +816,82 @@ def test_poly_mul_with_wide_numerators(xs, ys):
 
 
 # ---------------------------------------------------------------------------
+# both sides of the term-by-term crossover
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), kinds, kinds, st.sampled_from((42, 60)))
+def test_mul_on_both_sides_of_the_crossover(data, ka, kb, step):
+    """Each factor has _TERMWISE strides or one more, and its window ends
+    inside its last stride: the shorter factor of the product has exactly
+    _TERMWISE slots on the sublattice, where it runs term by term, or one
+    more, where it packs."""
+    a = data.draw(series(ka, step, min_terms=_TERMWISE, max_terms=_TERMWISE + 1))
+    b = data.draw(series(kb, step, min_terms=_TERMWISE, max_terms=_TERMWISE + 1))
+    for x, y in ((a, b), (b, a)):
+        got = ps_mul(x, y)
+        assert_same(got, ref_mul(x, y))
+        assert_types(got, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), kinds, kinds, st.sampled_from((1, 42, 60)),
+       st.sampled_from((_TERMWISE, _TERMWISE + 1)))
+def test_poly_mul_on_both_sides_of_the_crossover(data, ka, kb, step, short):
+    """A polynomial of `short` terms at the multiples of `step` times one
+    of `short` to three times _TERMWISE terms."""
+    def poly(kind, terms):
+        coeffs = [ZERO] * ((terms - 1) * step + 1)
+        for i in range(terms - 1):
+            coeffs[i * step] = data.draw(scalar[kind])
+        coeffs[-1] = data.draw(nonzero[kind])
+        return UniPoly(coeffs)
+    p = poly(ka, short)
+    q = poly(kb, data.draw(st.integers(min_value=short, max_value=3 * _TERMWISE)))
+    assert_poly_product(p, q)
+    assert_poly_product(q, p)
+
+
+def _packs(x, y, n):
+    """The lengths of the lists that _kmul(x, y, n) packs."""
+    packed = []
+    real = kernel_module._pack
+    try:
+        kernel_module._pack = lambda v, w: packed.append(len(v)) or real(v, w)
+        _kmul(x, y, n)
+    finally:
+        kernel_module._pack = real
+    return packed
+
+
+def test_the_shorter_factor_picks_the_product():
+    """Up to _TERMWISE slots in the shorter factor, after the window and the
+    sublattice, a product runs term by term; one more, and it packs."""
+    dense = ([3] * 40, [1] * 40, 5)
+    t = _TERMWISE
+    short = ([2] * t, None, 1)
+    longer = ([2] * (t + 1), [7] * (t + 1), 1)
+    assert _packs(short, dense, 60) == []
+    assert _packs(dense, short, 60) == []
+    assert _packs(longer, dense, 60) == [t + 1, 40, t + 1, 40]
+    # a window of t slots cuts both factors to the term-by-term side
+    assert _packs(longer, dense, t) == []
+    # on stride 3, 3*t + 2 slots hold t + 1 nonzero ones, slot 3*t the last
+    sparse = ([1, 0, 0] * t + [1, 0], None, 1)
+    other = ([5, 0, 0] * 20, None, 1)
+    assert _packs(sparse, other, 3 * t) == []
+    assert _packs(sparse, other, 3 * t + 1) == [t + 1, t + 1]
+    # a dense factor leaves the stride at 1
+    assert _packs(sparse, dense, 60) == [3 * t + 2, 40, 40]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), max_size=30), min_size=1, max_size=4))
+def test_stride_is_the_gcd_of_the_nonzero_offsets(parts):
+    assert _stride(parts) == (gcd(*[i for v in parts for i, c in enumerate(v) if c]) or 1)
+
+
+# ---------------------------------------------------------------------------
 # packing at the edges of a slot
 # ---------------------------------------------------------------------------
 
@@ -828,6 +905,10 @@ def test_pack_roundtrip_at_slot_limits(w, data):
     # slots above the first m do not disturb them
     extra = data.draw(st.lists(edge, min_size=1, max_size=5))
     assert _unpack(_pack(v + extra, w), w, len(v)) == v
+    # more slots than the packed value needs read 0, as in GCDHEU's read-back
+    more = data.draw(st.integers(min_value=1, max_value=4))
+    for u in (v, [-1] * len(v), [-half] * len(v)):
+        assert _unpack(_pack(u, w), w, len(u) + more) == u + [0] * more
 
 
 def _extreme_width(j, p0, spare):
@@ -840,13 +921,13 @@ def _extreme_width(j, p0, spare):
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=12),
        st.sampled_from((1, -1)), st.sampled_from((1, -1)))
 def test_full_slots_near_the_sign_bit(j, p0, sa, sb):
-    """All-extreme rational factors: the last product slot comes within a
-    factor 4 of the sign bit when the slot width has no spare bit, and one
+    """All-extreme rational factors, packed at any length: the last product
+    slot comes within a factor 4 of the sign bit when the slot width has no spare bit, and one
     bit less would overflow when the width is one bit over a byte."""
     p = _extreme_width(j, p0, 1)
     n, m = (1 << j) - 1, (1 << p) - 1
-    re, im, d = _kmul(_vec([QQ(sa * m)] * n), _vec([QQ(sb * m)] * n), n)
-    assert im is None and d == 1
+    re, im = _packed([sa * m] * n, None, [sb * m] * n, None, n)
+    assert im is None
     assert re == [sa * sb * (i + 1) * m * m for i in range(n)]
     if (2 * p + j + 1) % 8 == 0:
         assert abs(re[-1]) > 1 << (2 * p + j - 2)
@@ -856,14 +937,12 @@ def test_full_slots_near_the_sign_bit(j, p0, sa, sb):
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=12),
        st.sampled_from((1, -1)))
 def test_omega_slots_near_the_sign_bit(j, p0, sign):
-    """(m - m w)(-m + m w) = 3 m^2 w: every pair puts 3 m^2 into the w part,
-    the most a pair of Q(w) values of this size can."""
+    """(m - m w)(-m + m w) = 3 m^2 w, packed at any length: every pair puts
+    3 m^2 into the w part, the most a pair of Q(w) values of this size can."""
     p = _extreme_width(j, p0, 3)
     n, m = (1 << j) - 1, (1 << p) - 1
-    x = _vec([Omega(sign * m, -sign * m)] * n)
-    y = _vec([Omega(-m, m)] * n)
-    re, im, d = _kmul(x, y, n)
-    assert d == 1 and re == [0] * n
+    re, im = _packed([sign * m] * n, [-sign * m] * n, [-m] * n, [m] * n, n)
+    assert re == [0] * n
     assert im == [sign * 3 * (i + 1) * m * m for i in range(n)]
 
 
@@ -879,11 +958,4 @@ def test_sublattice_keeps_packing_small():
     """A grid-42 series packs one slot per nonzero term, not per grid index."""
     base = PuiseuxSeries.make(1, 0, [QQ(k + 1, 3) for k in range(27)], 27).to_grid(42)
     x = _vec(base.coeffs)
-    packed = []
-    real = kernel_module._pack
-    try:
-        kernel_module._pack = lambda v, w: packed.append(len(v)) or real(v, w)
-        _kmul(x, x, len(base.coeffs))
-    finally:
-        kernel_module._pack = real
-    assert packed == [27, 27]
+    assert _packs(x, x, len(base.coeffs)) == [27, 27]
