@@ -163,6 +163,26 @@ MUTANTS = [
      "nodes": ["tests/test_kernel.py::test_pack_roundtrip_at_slot_limits",
                "tests/test_kernel.py::test_full_slots_near_the_sign_bit",
                "tests/test_kernel.py::test_mul_matches_convolution"]},
+    {"name": "multivariate product over one factor's denominator",
+     "file": "src/darboux/polyalg.py",
+     "old": "MultiPoly._of(out, self.den * other.den)",
+     "new": "MultiPoly._of(out, self.den)",
+     "nodes": ["tests/test_polyalg.py::test_multipoly_ring_ops_match_the_dict_loops",
+               "tests/test_second_opinion.py::test_reduce_mod_matches_sympy_reduced"]},
+    {"name": "multivariate reduction without the leading-coefficient scaling",
+     "file": "src/darboux/polyalg.py",
+     "old": "                if s != 1:\n",
+     "new": "                if False:\n",
+     "nodes": ["tests/test_polyalg.py::test_reduce_mod_matches_the_dict_loop",
+               "tests/test_polyalg.py::test_reduce_mod_by_a_leading_coefficient_of_two",
+               "tests/test_second_opinion.py::test_reduce_mod_matches_sympy_reduced"]},
+    # both pattern checks would pass on the first covering's report: only
+    # the count of verify_divisor calls sees the shared key
+    {"name": "covering divisor memo key without the covering",
+     "file": "src/darboux/catalog.py",
+     "old": 'memo(("divisor", which)',
+     "new": 'memo(("divisor",)',
+     "nodes": ["tests/test_memo.py::test_each_covering_divisor_is_proved_once"]},
 ]
 
 

@@ -63,7 +63,7 @@ from .polyalg import RationalMap, poly
 from .report import Mismatch, failed, passed
 from .scalars import QQ, ONE, Omega, W, rat
 from .series import PuiseuxSeries, first_mismatch
-from .verifier import Hpg, IdentitySpec, Pw, Term, register_chart, verify_identity
+from .verifier import Hpg, IdentitySpec, Pw, Term, memo, register_chart, verify_identity
 from .verifier import verify_radical_candidate_separation
 
 q = rat
@@ -694,16 +694,24 @@ def _pattern_check(name):
     return run
 
 
+_GENUS1_COVERINGS = {"Phi7": (E7, phi7, PHI7_DIVISOR), "Phi4": (E4, phi4_on_e4, PHI4_DIVISOR)}
+
+
+def _covering_divisor(which):
+    """The divisor report of a degree-24 covering (curve, builder and divisor
+    in ``_GENUS1_COVERINGS``), proved once per process in the memo: its
+    pattern check and its divisor row both read it."""
+    curve, build, divisor = _GENUS1_COVERINGS[which]
+    return memo(("divisor", which), lambda: verify_divisor(curve, build(), divisor))
+
+
 def _genus1_pattern_check(which):
     def run(order):
-        if which == "Phi7":
-            f, divisor, curve = phi7(), PHI7_DIVISOR, E7
-        else:
-            f, divisor, curve = phi4_on_e4(), PHI4_DIVISOR, E4
-        rep = verify_divisor(curve, f, divisor)
+        rep = _covering_divisor(which)
         if not rep.ok:
             return rep
-        if not genus1_fiber_one_square(f, divisor_norm(divisor)[1], 12):
+        _, build, divisor = _GENUS1_COVERINGS[which]
+        if not genus1_fiber_one_square(build(), divisor_norm(divisor)[1], 12):
             return failed(detail="fiber over 1 is not [2^12]")
         return passed()
     return run
@@ -822,9 +830,9 @@ for _table, _curve, _which, _row in ((TABLE1, E7, "e7", "first"), (TABLE2, E4, "
         _register(f"div-{_which}-{_name}", f"{_row} divisor table row {_name}",
                   lambda order, c=_curve, f=_f, d=_divisor: verify_divisor(c, f, d))
 _register("div-e7-Phi7", "divisor of the degree-24 covering on the first curve",
-          lambda order: verify_divisor(E7, phi7(), PHI7_DIVISOR))
+          lambda order: _covering_divisor("Phi7"))
 _register("div-e4-Phi4", "divisor of the degree-24 covering on the second curve",
-          lambda order: verify_divisor(E4, phi4_on_e4(), PHI4_DIVISOR))
+          lambda order: _covering_divisor("Phi4"))
 
 _t1 = {name: f for name, f, _ in TABLE1}
 for _id, _pred in (

@@ -186,11 +186,7 @@ def solution_series(sol: LocalSolution, n: int) -> PuiseuxSeries:
     infinity the w-chart prefactor is w to the opposite exponent.
     """
     f = hpg_series(sol.params, n)
-    e = QQ(sol.exponent) if not sol.at_infinity else -QQ(sol.exponent)
-    if e == 0:
-        return f
-    mono = PuiseuxSeries.monomial(e, e + n)
-    return f * mono
+    return f.shift(-sol.exponent if sol.at_infinity else sol.exponent)
 
 
 def shift_down(p: HpgParams, i: int, j: int, f: PuiseuxSeries) -> PuiseuxSeries:

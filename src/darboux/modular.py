@@ -68,14 +68,6 @@ def _product(n: int, factors, grid: int = 1) -> PuiseuxSeries:
     return PuiseuxSeries(grid, 0, (c, None, 1), n * grid)
 
 
-def _shift(s: PuiseuxSeries, exp) -> PuiseuxSeries:
-    e = QQ(exp)
-    if not e:
-        return s
-    mono = PuiseuxSeries.monomial(e, e + s.order_exponent - s.lead_exponent)
-    return ps_mul(s, mono)
-
-
 def eta_quotient(pairs, n: int) -> PuiseuxSeries:
     """prod_m eta(m*tau)^{e_m} for pairs of (multiplier, exponent)."""
     lead = sum(QQ(m) * e for m, e in pairs) / 24
@@ -83,7 +75,7 @@ def eta_quotient(pairs, n: int) -> PuiseuxSeries:
     for m, e in pairs:
         factors.extend((m * k, -1, e) for k in range(1, n // m + 1))
     unit = _product(n, factors)
-    return _shift(unit, lead)
+    return unit.shift(lead)
 
 
 def residue_product(n: int, modulus: int, residues, exponent: int) -> PuiseuxSeries:
@@ -152,15 +144,15 @@ def _klein_form(n, r1, r2):
 
 
 def _build_X_neg(n):
-    return _shift(_klein_form(n, 1, -1), rat(4, 7))
+    return _klein_form(n, 1, -1).shift(rat(4, 7))
 
 
 def _build_Y(n):
-    return _shift(_klein_form(n, 2, -2), rat(2, 7))
+    return _klein_form(n, 2, -2).shift(rat(2, 7))
 
 
 def _build_Z(n):
-    return _shift(_klein_form(n, 3, -3), rat(1, 7))
+    return _klein_form(n, 3, -3).shift(rat(1, 7))
 
 
 def _build_neg_x7(n):
@@ -182,7 +174,7 @@ def _rr_sum(n, shift_exponent, quadratic):
         _mul_factor(term, k, -1, -1)
         total = [a + b for a, b in zip(total, term)]
         k += 1
-    return _shift(PuiseuxSeries(1, 0, (total, None, 1), n), shift_exponent)
+    return PuiseuxSeries(1, 0, (total, None, 1), n).shift(shift_exponent)
 
 
 def _selberg_sum(n, lead_exponent, terms):
@@ -199,7 +191,7 @@ def _selberg_sum(n, lead_exponent, terms):
         k += 1
     s = PuiseuxSeries.from_pairs(pairs, n)
     inv_euler = _product(n, ((k2, -1, -1) for k2 in range(1, n)))
-    return _shift(ps_mul(s, inv_euler), lead_exponent)
+    return ps_mul(s, inv_euler).shift(lead_exponent)
 
 
 def _build_k1_sum(n):
@@ -252,18 +244,18 @@ def _builders():
     b["h4"] = lambda n: eta_quotient([(1, 8), (4, -8)], n)
     b["h5"] = lambda n: eta_quotient([(1, 6), (5, -6)], n)
     b["h7"] = lambda n: eta_quotient([(1, 4), (7, -4)], n)
-    b["h2_prod"] = lambda n: _shift(_product(n + 1, ((k, 1, -24) for k in range(1, n + 1))), -1)
-    b["h3_prod"] = lambda n: _shift(residue_product(n + 1, 3, (1, 2), 12), -1)
-    b["h4_prod"] = lambda n: _shift(_product(n + 1, ((k, 1, -8 if k % 2 else -16) for k in range(1, n + 1))), -1)
-    b["h5_prod"] = lambda n: _shift(_product(n + 1, _h_np(n, 5, 6)), -1)
-    b["h7_prod"] = lambda n: _shift(_product(n + 1, _h_np(n, 7, 4)), -1)
+    b["h2_prod"] = lambda n: _product(n + 1, ((k, 1, -24) for k in range(1, n + 1))).shift(-1)
+    b["h3_prod"] = lambda n: residue_product(n + 1, 3, (1, 2), 12).shift(-1)
+    b["h4_prod"] = lambda n: _product(n + 1, ((k, 1, -8 if k % 2 else -16) for k in range(1, n + 1))).shift(-1)
+    b["h5_prod"] = lambda n: _product(n + 1, _h_np(n, 5, 6)).shift(-1)
+    b["h7_prod"] = lambda n: _product(n + 1, _h_np(n, 7, 4)).shift(-1)
 
     b["h2_plus_64"] = lambda n: qseries("h2", n) + PuiseuxSeries.const(QQ(64), n)
     b["h3_plus_27"] = lambda n: qseries("h3", n) + PuiseuxSeries.const(QQ(27), n)
     b["h4_plus_16"] = lambda n: qseries("h4", n) + PuiseuxSeries.const(QQ(16), n)
     b["h4_plus_16_eta"] = lambda n: eta_quotient([(2, 24), (4, -16), (1, -8)], n)
-    b["h4_plus_16_prod"] = lambda n: _shift(
-        _product(n + 1, ((k, 1, 8 if k % 2 else -8) for k in range(1, n + 1))), -1)
+    b["h4_plus_16_prod"] = lambda n: _product(
+        n + 1, ((k, 1, 8 if k % 2 else -8) for k in range(1, n + 1))).shift(-1)
 
     # j as a rational expression in each Hauptmodul (numerators, see specs)
     b["j_h2_num"] = lambda n: _poly_at(poly(256, 1) ** 3, "h2", n)
@@ -273,22 +265,22 @@ def _builders():
 
     # Legendre lambda / 16 and its product form
     # lambda/16 = q^{1/2} prod (1-q^{k/2})^8 (1-q^{2k})^{16} (1-q^k)^{-24}
-    b["lam16"] = lambda n: _shift(_product(n + 1, [
+    b["lam16"] = lambda n: _product(n + 1, [
         *((k, -1, 8) for k in range(1, 2 * n + 2)),
         *((2 * k, -1, -24) for k in range(1, n + 1)),
-        *((4 * k, -1, 16) for k in range(1, n // 2 + 1))], grid=2), rat(1, 2)).truncate(n)
+        *((4 * k, -1, 16) for k in range(1, n // 2 + 1))], grid=2).shift(rat(1, 2)).truncate(n)
     # q^{1/2} prod_{k>=1} (1+q^k)^8 / prod_{k>=0} (1+q^{k+1/2})^8
-    b["lam16_prod"] = lambda n: _shift(_product(n + 1, [
+    b["lam16_prod"] = lambda n: _product(n + 1, [
         *((2 * k, 1, 8) for k in range(1, n + 1)),
-        *((2 * k + 1, 1, -8) for k in range(n + 1))], grid=2), rat(1, 2)).truncate(n)
+        *((2 * k + 1, 1, -8) for k in range(n + 1))], grid=2).shift(rat(1, 2)).truncate(n)
 
     # level 5
-    b["x5"] = lambda n: _shift(residue_product(n + 1, 5, (1, 4), 5) *
-                               residue_product(n + 1, 5, (2, 3), -5), 1).truncate(n + 1)
+    b["x5"] = lambda n: (residue_product(n + 1, 5, (1, 4), 5) *
+                         residue_product(n + 1, 5, (2, 3), -5)).shift(1).truncate(n + 1)
     b["phi5_of_x5_over_1728"] = _over_1728(phi5_icosahedral, "x5", 3)
     b["one_minus_11x5_x5sq"] = lambda n: poly(1, -11, -1).eval_series(qseries("x5", n)).truncate(n)
-    b["rr1_prod"] = lambda n: _shift(residue_product(n + 1, 5, (1, 4), -1), rat(-1, 60))
-    b["rr2_prod"] = lambda n: _shift(residue_product(n + 1, 5, (2, 3), -1), rat(11, 60))
+    b["rr1_prod"] = lambda n: residue_product(n + 1, 5, (1, 4), -1).shift(rat(-1, 60))
+    b["rr2_prod"] = lambda n: residue_product(n + 1, 5, (2, 3), -1).shift(rat(11, 60))
     b["rr1_sum"] = lambda n: _rr_sum(n + 1, rat(-1, 60), lambda k: k * k)
     b["rr2_sum"] = lambda n: _rr_sum(n + 1, rat(11, 60), lambda k: k * k + k)
 
@@ -302,9 +294,9 @@ def _builders():
     b["F1_of_x7"] = lambda n: poly(1, -5, -8, -1).eval_series(qseries("neg_x7", n)).truncate(n)
     b["X2Y2Z2"] = lambda n: _klein_poly_series(n, _mp({(2, 2, 2): 1}))
     b["R6_XYZ"] = lambda n: _klein_poly_series(n, klein_R6())
-    b["K1"] = lambda n: _shift(residue_product(n + 1, 7, (1, 2, 5, 6), -1), rat(-1, 42))
-    b["K2"] = lambda n: _shift(residue_product(n + 1, 7, (1, 3, 4, 6), -1), rat(5, 42))
-    b["K3"] = lambda n: _shift(residue_product(n + 1, 7, (2, 3, 4, 5), -1), rat(17, 42))
+    b["K1"] = lambda n: residue_product(n + 1, 7, (1, 2, 5, 6), -1).shift(rat(-1, 42))
+    b["K2"] = lambda n: residue_product(n + 1, 7, (1, 3, 4, 6), -1).shift(rat(5, 42))
+    b["K3"] = lambda n: residue_product(n + 1, 7, (2, 3, 4, 5), -1).shift(rat(17, 42))
     b["k1_sum_form"] = _build_k1_sum
     b["k3_sum_form"] = _build_k3_sum
     b["Phi3_of_x7_over_1728"] = _over_1728(Phi3_map, "x7", 6)
@@ -322,11 +314,11 @@ def _builders():
 
     # octahedral eta quotients and products
     b["octa1_eta"] = lambda n: eta_quotient([(2, 5), (4, -2), (1, -3)], n)
-    b["octa1_prod"] = lambda n: _shift(
-        _product(n + 1, ((k, 1, 3 if k % 2 else 1) for k in range(1, n + 1))), rat(-1, 24))
+    b["octa1_prod"] = lambda n: _product(
+        n + 1, ((k, 1, 3 if k % 2 else 1) for k in range(1, n + 1))).shift(rat(-1, 24))
     b["octa2_eta"] = lambda n: eta_quotient([(4, 2), (2, -1), (1, -1)], n)
-    b["octa2_prod"] = lambda n: _shift(
-        _product(n + 1, ((k, 1, 1 if k % 2 else 3) for k in range(1, n + 1))), rat(5, 24))
+    b["octa2_prod"] = lambda n: _product(
+        n + 1, ((k, 1, 1 if k % 2 else 3) for k in range(1, n + 1))).shift(rat(5, 24))
     return b
 
 
@@ -407,8 +399,9 @@ def klein_invariant_congruence() -> VerificationReport:
     Divided by R14^3 this is the Galois-covering identity
     1728 R6^7 / R14^3 = 1 - R21^2 / R14^3."""
     r4, r6, r14, r21 = klein_R4(), klein_R6(), klein_R14(), klein_R21()
-    combo = r21 * r21 - r14 ** 3 + (r6 ** 7).scale(QQ(1728))
-    if (r21 * r21).total_degree() != 42:
+    r21_sq = r21 * r21
+    combo = r21_sq - r14 ** 3 + (r6 ** 7).scale(QQ(1728))
+    if r21_sq.total_degree() != 42:
         return failed(detail="degree audit failed")
     rem = combo.reduce_mod(r4)
     if not rem.is_zero():

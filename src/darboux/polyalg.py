@@ -3,7 +3,9 @@
 Coefficients are exact scalars (rationals or Q(w) elements).  Univariate
 polynomials are dense integer vectors of ``darboux.kernel``, and every
 ``UniPoly`` ring op, ``divmod`` (and so ``%`` and ``divexact``) and ``gcd``
-runs on them; multivariate ones are sparse maps from exponent tuples.
+runs on them.  Multivariate ones, over Q, are sparse maps from exponent
+tuples to integer numerators over one common denominator, and their ring
+ops and ``reduce_mod`` run on the integers.
 Only what the verification needs is here: ring ops, division, gcd,
 squarefree splitting, resultants, series evaluation, and reduction modulo
 a single multivariate divisor.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd, lcm
+from operator import add, ge, sub
 
 from .kernel import (_UNIT, _canonical, _kdivmod, _kdot, _kmul, _pack, _scalar, _scalars, _unpack,
                      _vec)
@@ -396,16 +399,34 @@ class RationalMap:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial: exponent tuple -> coefficient."""
+    """Sparse multivariate polynomial over Q: a nonzero integer numerator
+    per exponent tuple (``num``) over one denominator ``den`` > 0, in lowest
+    terms; ``terms``, exponent tuple -> coefficient, is built at each read."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        t = {}
-        for mono, c in (terms or {}).items():
-            if c:
-                t[tuple(mono)] = c
-        self.terms = t
+        items = [(tuple(m), c) for m, c in (terms or {}).items() if c]
+        re, im, d = _vec([c for _, c in items])
+        if im is not None:
+            raise TypeError("MultiPoly coefficients must be rational")
+        p = MultiPoly._of(dict(zip([m for m, _ in items], re)), d)
+        self.num, self.den = p.num, p.den
+
+    @classmethod
+    def _of(cls, num, den):
+        """The polynomial of integer numerators over den > 0, without the
+        zero ones and in lowest terms."""
+        p = cls.__new__(cls)
+        num = {m: c for m, c in num.items() if c}
+        g = gcd(den, *num.values())
+        p.num, p.den = ({m: c // g for m, c in num.items()}, den // g) if g > 1 else (num, den)
+        return p
+
+    @property
+    def terms(self):
+        """The coefficient map, built from the numerators at each read."""
+        return {m: QQ(c, self.den) for m, c in self.num.items()}
 
     @staticmethod
     def variable(i: int, nvars: int) -> "MultiPoly":
@@ -414,20 +435,18 @@ class MultiPoly:
         return MultiPoly({tuple(e): ONE})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return MultiPoly(out)
+        d = lcm(self.den, other.den)
+        a, b = d // self.den, d // other.den
+        out = {m: a * c for m, c in self.num.items()}
+        for m, c in other.num.items():
+            out[m] = out.get(m, 0) + b * c
+        return MultiPoly._of(out, d)
 
     def __neg__(self):
-        return MultiPoly({m: -c for m, c in self.terms.items()})
+        return MultiPoly._of({m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -436,45 +455,36 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return MultiPoly(out)
+        for m1, c1 in self.num.items():
+            for m2, c2 in other.num.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return MultiPoly._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if not c:
-            return MultiPoly()
-        return MultiPoly({m: c * x for m, x in self.terms.items()})
+        c = QQ(c)
+        n = int(c.numerator)
+        return MultiPoly._of({m: n * x for m, x in self.num.items()},
+                             int(c.denominator) * self.den)
 
     def __pow__(self, n: int):
         nv = self.nvars
-        one = MultiPoly({(0,) * nv: ONE}) if nv is not None else MultiPoly({(): ONE})
-        return power(self, int(n), one)
+        return power(self, int(n), MultiPoly._of({(0,) * (nv or 0): 1}, 1))
 
     @property
     def nvars(self):
-        for m in self.terms:
+        for m in self.num:
             return len(m)
         return None
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=-1)
+        return max((sum(m) for m in self.num), default=-1)
 
     def diff(self, i: int) -> "MultiPoly":
-        out = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                m2 = list(m)
-                m2[i] -= 1
-                out[tuple(m2)] = c * m[i]
-        return MultiPoly(out)
+        return MultiPoly._of({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                              for m, c in self.num.items() if m[i]}, self.den)
 
     def eval_series(self, values) -> PuiseuxSeries:
         """Substitute a PuiseuxSeries per variable; exact with order tracking."""
@@ -499,37 +509,45 @@ class MultiPoly:
         is cancelled wherever it divides a monomial of the dividend.  For a
         single divisor the remainder is 0 exactly when q divides the
         dividend.
+
+        It runs on numerators over self's denominator, all scaled by
+        lc/gcd(c, lc) where q's leading numerator lc does not divide the
+        numerator c to cancel: never when lc is 1 or -1, as in R4.
         """
         if q.is_zero():
             raise ZeroDivisionError("reduction modulo the zero polynomial")
-        lt = max(q.terms)
-        ltc = q.terms[lt]
-        rest = [(m, c) for m, c in q.terms.items() if m != lt]
-        work = dict(self.terms)
+        lt = max(q.num)
+        lc = q.num[lt]
+        rest = [(m, c) for m, c in q.num.items() if m != lt]
+        work, den = dict(self.num), self.den
         heap = [_negkey(m) for m in work]
         heapq.heapify(heap)
         remainder = {}
         while heap:
-            nk = heapq.heappop(heap)
-            m = _negkey(nk)
+            m = _negkey(heapq.heappop(heap))
             if m not in work:
                 continue
             c = work.pop(m)
-            if all(a >= b for a, b in zip(m, lt)):
-                f = c * scalar_inv(ltc)
-                shift = tuple(a - b for a, b in zip(m, lt))
+            if all(map(ge, m, lt)):
+                g = gcd(c, lc)
+                f, s = (c // g, lc // g) if lc > 0 else (-c // g, -lc // g)
+                if s != 1:
+                    work = {k: s * v for k, v in work.items()}
+                    remainder = {k: s * v for k, v in remainder.items()}
+                    den *= s
+                shift = tuple(map(sub, m, lt))
                 for m2, c2 in rest:
-                    mm = tuple(a + b for a, b in zip(m2, shift))
-                    s = work.get(mm, ZERO) - f * c2
-                    if s:
+                    mm = tuple(map(add, m2, shift))
+                    v = work.get(mm, 0) - f * c2
+                    if v:
                         if mm not in work:
                             heapq.heappush(heap, _negkey(mm))
-                        work[mm] = s
+                        work[mm] = v
                     else:
                         work.pop(mm, None)
             else:
                 remainder[m] = c
-        return MultiPoly(remainder)
+        return MultiPoly._of(remainder, den)
 
 
 def _negkey(k):

@@ -196,6 +196,14 @@ class PuiseuxSeries:
         return PuiseuxSeries(grid, self.lead * f,
                              (_spread(re, f, n), im and _spread(im, f, n), d), self.order * f)
 
+    def shift(self, exp) -> "PuiseuxSeries":
+        """The series times z^exp: its vector on the grid lcm(grid, den exp)."""
+        e = QQ(exp)
+        g = lcm(self.grid, int(e.denominator))
+        s = self.to_grid(g)
+        k = int(e.numerator) * (g // int(e.denominator))
+        return PuiseuxSeries(g, s.lead + k, s.vec, s.order + k)
+
     # -- arithmetic -------------------------------------------------------
     def __neg__(self):
         re, im, d = self.vec

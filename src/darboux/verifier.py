@@ -88,8 +88,9 @@ _MEMO: dict = {}
 def memo(key, build):
     """The one memo: the value of ``build()``, computed once per key.
 
-    It holds chart series, curve expansions, the factors of recipe terms and
-    the coverings.  A series key ends in the exact order a caller asked for.
+    It holds chart series, curve expansions, the factors of recipe terms,
+    the coverings and the divisor reports of the degree-24 coverings on the
+    genus-1 curves (keyed on the covering's name).  A series key ends in the exact order a caller asked for.
     Builders do not reach exactly that order, so a deeper entry is never
     truncated to serve a shallower key: that would change the precision a
     caller sees.  A covering is exact, so its key (see ``built_once``)

@@ -4,8 +4,8 @@ from the memo, and every key carries what the value depends on."""
 
 import pytest
 
-from darboux import belyi, ellcurve, verifier
-from darboux.catalog import IDENTITY_BY_ID
+from darboux import belyi, catalog, ellcurve, verifier
+from darboux.catalog import IDENTITY_BY_ID, run_check
 from darboux.cli import run_suite
 from darboux.modular import qseries
 from darboux.polyalg import RationalMap
@@ -132,3 +132,41 @@ def test_a_factor_is_expanded_in_the_chart_asked_for():
     assert first_mismatch(on_x, ps_pow(chart_series("x", "one_minus_x", 24), 3)) is None
     assert first_mismatch(on_s, ps_pow(chart_series("s", "one_minus_x", 24), 3)) is None
     assert first_mismatch(on_x, on_s) is not None
+
+
+# each degree-24 covering on a genus-1 curve, with its divisor row
+GENUS1 = (("Phi7", "div-e7-Phi7"), ("Phi4", "div-e4-Phi4"))
+
+
+def _divisor_calls(monkeypatch):
+    """The functions the catalog's verify_divisor is entered with, in order."""
+    calls = []
+    real = catalog.verify_divisor
+    monkeypatch.setattr(catalog, "verify_divisor",
+                        lambda curve, f, divisor: calls.append(f) or real(curve, f, divisor))
+    return calls
+
+
+@pytest.mark.parametrize("which, row", GENUS1)
+def test_a_covering_divisor_has_one_verdict_in_either_order(monkeypatch, which, row):
+    calls = _divisor_calls(monkeypatch)
+    pattern = f"pattern-{which}"
+    verifier._MEMO.clear()
+    forward = {cid: run_check(cid, 20) for cid in (pattern, row)}
+    verifier._MEMO.clear()
+    backward = {cid: run_check(cid, 20) for cid in (row, pattern)}
+    assert forward == backward
+    assert forward[pattern].ok and forward[row].ok
+    assert len(calls) == 2                  # once on each cleared memo
+
+
+def test_each_covering_divisor_is_proved_once(monkeypatch):
+    calls = _divisor_calls(monkeypatch)
+    verifier._MEMO.clear()
+    for which, row in GENUS1 + GENUS1:
+        assert run_check(f"pattern-{which}", 20).ok
+        assert run_check(row, 20).ok
+    assert calls == [ellcurve.phi7(), ellcurve.phi4_on_e4()]
+    # verify_divisor itself keeps no memo: another statement is proved anew
+    wrong = [(place, -c) for place, c in ellcurve.PHI7_DIVISOR]
+    assert not ellcurve.verify_divisor(ellcurve.E7, ellcurve.phi7(), wrong).ok

@@ -9,9 +9,11 @@ the former ``resultant``, the Sylvester determinant by exact elimination.
 ``ref_poly_add``, ``ref_scale`` and ``ref_derivative`` are the former
 ``UniPoly`` operations on tuples of exact scalars, and ``ref_poly_mul`` (in
 ``test_kernel``) the schoolbook product; they give coefficient tuples for the
-integer-vector operations to match.
+integer-vector operations to match.  ``ref_mp_*`` and ``ref_reduce_mod`` are
+the former ``MultiPoly`` loops on dicts of exact scalars.
 """
 
+import heapq
 from math import gcd
 
 import pytest
@@ -755,3 +757,160 @@ def test_reduce_divisibility_criterion(monos):
     c = MultiPoly({(a, b, d): QQ(v) for a, b, d, v in monos if v})
     prod = c * R4()
     assert prod.reduce_mod(R4()).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly against the former dict loops
+# ---------------------------------------------------------------------------
+# ``ref_mp_*`` and ``ref_reduce_mod`` are the former MultiPoly operations on
+# dicts of exact scalars (exponent tuple -> nonzero coefficient); the integer
+# numerators over one denominator must give the same ``terms``.
+
+def _nz(terms):
+    return {tuple(m): c for m, c in terms.items() if c}
+
+
+def ref_mp_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, ZERO) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def ref_mp_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_mp_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            s = out.get(m, ZERO) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def ref_mp_scale(a, c):
+    return {m: c * x for m, x in a.items()} if c else {}
+
+
+def ref_mp_pow(a, n):
+    out = {(0,) * len(next(iter(a))) if a else (): ONE}
+    for _ in range(n):
+        out = ref_mp_mul(out, a)
+    return out
+
+
+def ref_mp_diff(a, i):
+    out = {}
+    for m, c in a.items():
+        if m[i]:
+            m2 = list(m)
+            m2[i] -= 1
+            out[tuple(m2)] = c * m[i]
+    return out
+
+
+def ref_reduce_mod(a, q):
+    """Lex long division by q on the heap of the dividend's monomials."""
+    lt = max(q)
+    ltc = q[lt]
+    rest = [(m, c) for m, c in q.items() if m != lt]
+    work = dict(a)
+    heap = [tuple(-x for x in m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = tuple(-x for x in heapq.heappop(heap))
+        if m not in work:
+            continue
+        c = work.pop(m)
+        if all(x >= y for x, y in zip(m, lt)):
+            f = c * scalar_inv(ltc)
+            shift = tuple(x - y for x, y in zip(m, lt))
+            for m2, c2 in rest:
+                mm = tuple(x + y for x, y in zip(m2, shift))
+                s = work.get(mm, ZERO) - f * c2
+                if s:
+                    if mm not in work:
+                        heapq.heappush(heap, tuple(-x for x in mm))
+                    work[mm] = s
+                else:
+                    work.pop(mm, None)
+        else:
+            remainder[m] = c
+    return remainder
+
+
+mp_coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7).map(QQ)
+
+
+def mp_terms(nv, min_size=0):
+    """Term dicts in nv variables, zero coefficients and the empty dict included."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nv), mp_coeff,
+                           min_size=min_size, max_size=6)
+
+
+@st.composite
+def mp_pair(draw):
+    nv = draw(st.sampled_from((2, 3)))
+    return nv, draw(mp_terms(nv)), draw(mp_terms(nv))
+
+
+@st.composite
+def mp_divisor(draw, nv):
+    """A nonzero term dict; a third of them integral with leading coefficient
+    1 or -1, as R4 is, the others with any rational coefficients."""
+    q = draw(mp_terms(nv, min_size=1).map(_nz).filter(bool))
+    lc = draw(st.sampled_from((None, 1, -1)))
+    if lc is not None:
+        q = {m: QQ(int(c.numerator)) for m, c in q.items()}
+        q[max(q)] = QQ(lc)
+    return q
+
+
+@settings(max_examples=150, deadline=None)
+@given(mp_pair(), mp_coeff, st.integers(0, 2), st.integers(0, 4))
+def test_multipoly_ring_ops_match_the_dict_loops(pair, c, i, n):
+    nv, a, b = pair
+    i %= nv
+    p, q = MultiPoly(a), MultiPoly(b)
+    a, b = _nz(a), _nz(b)
+    assert p.terms == a
+    assert (p * q).terms == ref_mp_mul(a, b)
+    assert (p + q).terms == ref_mp_add(a, b)
+    assert (p - q).terms == ref_mp_add(a, ref_mp_neg(b))
+    assert (-p).terms == ref_mp_neg(a)
+    assert p.scale(c).terms == ref_mp_scale(a, c)
+    assert (p * c).terms == ref_mp_scale(a, c)
+    assert p.diff(i).terms == ref_mp_diff(a, i)
+    assert (p ** n).terms == ref_mp_pow(a, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduce_mod_matches_the_dict_loop(data):
+    nv, a, b = data.draw(mp_pair())
+    q = data.draw(mp_divisor(nv))
+    # a multiple of q plus a part that need not reduce
+    dividend = ref_mp_add(ref_mp_mul(_nz(a), q), _nz(b))
+    assert MultiPoly(dividend).reduce_mod(MultiPoly(q)).terms == ref_reduce_mod(dividend, q)
+
+
+def test_reduce_mod_by_a_leading_coefficient_of_two():
+    # x^2 = (x/2 - y/4)(2x + y) + y^2/4
+    x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    assert (x * x).reduce_mod(x.scale(2) + y).terms == {(0, 2): QQ(1, 4)}
+
+
+def test_multipoly_is_over_the_rationals():
+    with pytest.raises(TypeError):
+        MultiPoly({(1, 0): W})

@@ -1,5 +1,5 @@
-"""Polynomial division, gcd, resultants and squarefree splitting, and series
-products, quotients and powers, against sympy.
+"""Polynomial division, gcd, resultants and squarefree splitting, series
+products, quotients and powers, and multivariate reduction, against sympy.
 
 sympy is an independent implementation of the same exact algebra over Q;
 the module is skipped where it is not installed.
@@ -12,9 +12,10 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.ring_series import rs_mul, rs_pow, rs_series_inversion  # noqa: E402
 
-from darboux.polyalg import UniPoly, resultant, squarefree_multiplicities  # noqa: E402
+from darboux.polyalg import MultiPoly, UniPoly, resultant, squarefree_multiplicities  # noqa: E402
 from darboux.scalars import QQ  # noqa: E402
 from darboux.series import PuiseuxSeries, ps_div, ps_mul, ps_pow  # noqa: E402
+from test_polyalg import mp_divisor, mp_pair  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -139,3 +140,31 @@ def test_ps_pow_matches_sympy_rs_pow(a, r):
     got = ps_pow(a, QQ(int(sympy.numer(r)), int(sympy.denom(r))))
     assert (got.grid, got.lead, got.order) == (1, 0, n)
     assert known(got, n) == coefficients(rs_pow(to_ring(a), r, T, n), n)
+
+
+# ---------------------------------------------------------------------------
+# multivariate reduction, against sympy.reduced
+# ---------------------------------------------------------------------------
+
+def to_expr(terms, gens):
+    """The sympy expression of a MultiPoly term dict in the given generators."""
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[g ** e for g, e in zip(gens, m)])
+                       for m, c in terms.items()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reduce_mod_matches_sympy_reduced(data):
+    # one divisor is a Groebner basis of its ideal, so the remainder whose
+    # monomials the leading one does not divide is unique
+    nv, a, b = data.draw(mp_pair())
+    q = data.draw(mp_divisor(nv))
+    # a multiple of q plus a product that need not reduce to 0
+    p = MultiPoly(a) * MultiPoly(q) + MultiPoly(a) * MultiPoly(b)
+    gens = sympy.symbols(f"x0:{nv}")
+    f = sympy.expand(to_expr(a, gens) * (to_expr(q, gens) + to_expr(b, gens)))
+    _, r = sympy.reduced(f, [to_expr(q, gens)], *gens, order="lex", domain=sympy.QQ)
+    want = {m: QQ(int(c.p), int(c.q))
+            for m, c in sympy.Poly(r, *gens, domain=sympy.QQ).terms() if c}
+    assert p.reduce_mod(MultiPoly(q)).terms == want

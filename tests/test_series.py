@@ -369,3 +369,23 @@ def test_first_mismatch_reports_exponent_and_values():
     assert hit == (QQ(1), QQ(2), QQ(3))
     with pytest.raises(ValueError):
         first_mismatch(a, b, below=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_strategy().filter(lambda s: not s.is_zero()),
+       st.fractions(min_value=-3, max_value=3, max_denominator=12), st.booleans())
+def test_shift_is_the_product_by_the_monomial(a, e, omega):
+    """The former shift: a times z^e known as far as a's window reaches (a
+    zero series has an empty window, on which the monomial cannot be made)."""
+    if omega:
+        a = a.scale(W + 2)
+    got = a.shift(e)
+    want = ps_mul(a, PuiseuxSeries.monomial(e, e + a.order_exponent - a.lead_exponent))
+    assert_same(got, want)
+    assert got.vec == want.vec
+
+
+def test_shift_moves_the_order_of_a_zero_series():
+    z = PuiseuxSeries.zero(rat(5, 2), 2)
+    got = z.shift(rat(1, 3))
+    assert (got.grid, got.is_zero(), got.order_exponent) == (6, True, rat(17, 6))
