@@ -43,6 +43,7 @@ _RESULTANT = ["tests/test_polyalg.py::test_resultant_matches_the_sylvester_deter
               "tests/test_second_opinion.py::test_resultant_matches_sympy"]
 _CROSSOVER = ["tests/test_kernel.py::test_mul_on_both_sides_of_the_crossover",
               "tests/test_kernel.py::test_poly_mul_on_both_sides_of_the_crossover"]
+_PRODUCT = "tests/test_modular.py::test_product_matches_the_factor_loop"
 _HOMOGENEOUS = ["tests/test_polyalg.py::test_homogeneous_matches_a_sum_of_pair_powers",
                 "tests/test_ellcurve.py::test_subst_matches_the_horner_oracle",
                 "tests/test_belyi.py::test_cover_relation_phi3_phi7"]
@@ -183,6 +184,21 @@ MUTANTS = [
      "old": 'memo(("divisor", which)',
      "new": 'memo(("divisor",)',
      "nodes": ["tests/test_memo.py::test_each_covering_divisor_is_proved_once"]},
+    # (-sigma)^j is -sigma whenever sigma = -1: only a product with a factor
+    # 1 + q^k sees the sign that should alternate
+    {"name": "q-product log-derivative without the alternating sign",
+     "file": "src/darboux/modular.py",
+     "old": "(-sigma) ** j",
+     "new": "-sigma",
+     "nodes": [_PRODUCT, "tests/test_modular.py::test_hauptmodul_products[h2]",
+               "tests/test_modular.py::test_lambda_product_form",
+               "tests/test_modular.py::test_octahedral_quotient_products"]},
+    {"name": "q-product log-derivative without the factor k",
+     "file": "src/darboux/modular.py",
+     "old": "e * k * (-sigma) ** j",
+     "new": "e * (-sigma) ** j",
+     "nodes": [_PRODUCT, "tests/test_modular.py::test_eta_product_equals_theta_sum",
+               "tests/test_modular.py::test_hauptmodul_products[h7]"]},
 ]
 
 

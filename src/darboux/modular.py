@@ -14,11 +14,12 @@ builders fetch the series they depend on through ``qseries`` (that is,
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 
 from .belyi import Phi3_map, phi5_icosahedral
 from .polyalg import MultiPoly, poly
 from .report import VerificationReport, failed, passed
-from .scalars import QQ, ZERO, ONE, rat
+from .scalars import QQ, ONE, rat
 from .series import PuiseuxSeries, ps_div, ps_mul, ps_pow
 from .verifier import chart_series, register_chart
 
@@ -39,33 +40,31 @@ __all__ = [
 # the q-product routine (grid units, index 0 = constant term)
 # ---------------------------------------------------------------------------
 
-def _mul_factor(c, k: int, sigma: int, e: int):
-    """In place: c *= (1 + sigma*q^k)^e for integer e, O(n) per unit of |e|."""
-    n = len(c)
-    if k <= 0:
-        raise ValueError("factor exponent must be positive")
-    if k >= n:
-        return
-    for _ in range(e if e > 0 else 0):
-        for i in range(n - 1, k - 1, -1):
-            if c[i - k]:
-                c[i] += sigma * c[i - k]
-    for _ in range(-e if e < 0 else 0):
-        for i in range(k, n):
-            if c[i - k]:
-                c[i] -= sigma * c[i - k]
-
-
 def _product(n: int, factors, grid: int = 1) -> PuiseuxSeries:
     """Unit series prod (1 + sigma q^k)^e below exponent n; k in grid units.
 
-    Every factor has integer coefficients, so the product runs on a plain
-    int list, which the series takes as its integer vector (c, None, 1).
+    The factors are read once, into the log-derivative q f'/f = sum b_m q^m:
+    (1 + sigma q^k)^e adds -e*k*(-sigma)^j to b at j*k.  The coefficients
+    then follow from m*f_m = sum_{j=1..m} b_j f_{m-j} (Knuth, TAOCP vol. 2,
+    4.7), one dot product of ints per slot and an exact division by m.  For
+    N = n*grid slots that is about N^2/2 multiply-adds, whatever the
+    exponents e.  Every factor has integer coefficients, so the product is a
+    plain int list, which the series takes as its integer vector (c, None, 1).
     """
-    c = [1] + [0] * (n * grid - 1)
+    size = n * grid
+    b = [0] * size
     for k, sigma, e in factors:
-        _mul_factor(c, k, sigma, e)
-    return PuiseuxSeries(grid, 0, (c, None, 1), n * grid)
+        if k <= 0:
+            raise ValueError("factor exponent must be positive")
+        for j in range(1, (size - 1) // k + 1):
+            b[j * k] -= e * k * (-sigma) ** j
+    b, c = b[1:], [1]
+    for m in range(1, size):
+        f, r = divmod(sum(map(mul, b, reversed(c))), m)
+        if r:
+            raise ArithmeticError(f"q-product coefficient {m} is not an integer")
+        c.append(f)
+    return PuiseuxSeries(grid, 0, (c, None, 1), size)
 
 
 def eta_quotient(pairs, n: int) -> PuiseuxSeries:
@@ -99,22 +98,23 @@ def theta_sum(n: int, a: int, b: int, c=0) -> PuiseuxSeries:
 # catalog builders
 # ---------------------------------------------------------------------------
 
-def _sigma_series(n: int, power: int, scale) -> PuiseuxSeries:
-    sig = [ZERO] * n
+def _sigma_series(n: int, power: int, scale: int) -> PuiseuxSeries:
+    """1 + scale * sum_{m>=1} sigma_power(m) q^m below q^n, on ints."""
+    c = [0] * n
     for d in range(1, n):
-        dd = QQ(d) ** power
+        dd = scale * d ** power
         for m in range(d, n, d):
-            sig[m] = sig[m] + dd
-    coeffs = [ONE] + [scale * s for s in sig[1:]]
-    return PuiseuxSeries.make(1, 0, coeffs, n)
+            c[m] += dd
+    c[0] = 1
+    return PuiseuxSeries(1, 0, (c, None, 1), n)
 
 
 def _build_E4(n):
-    return _sigma_series(n, 3, QQ(240))
+    return _sigma_series(n, 3, 240)
 
 
 def _build_E6(n):
-    return _sigma_series(n, 5, QQ(-504))
+    return _sigma_series(n, 5, -504)
 
 
 def _build_j(n):
@@ -171,7 +171,8 @@ def _rr_sum(n, shift_exponent, quadratic):
         # term_k = term_{k-1} * q^{quadratic(k)-quadratic(k-1)} / (1-q^k)
         stepup = quadratic(k) - quadratic(k - 1)
         term = [0] * min(stepup, n) + term[: n - stepup]
-        _mul_factor(term, k, -1, -1)
+        for i in range(k, n):
+            term[i] += term[i - k]
         total = [a + b for a, b in zip(total, term)]
         k += 1
     return PuiseuxSeries(1, 0, (total, None, 1), n).shift(shift_exponent)

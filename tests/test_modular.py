@@ -1,7 +1,10 @@
 """q-series catalog tests: pinned leading coefficients, independent
 counting oracles, eta-product cross-checks, Klein invariant congruences."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darboux import modular
 from darboux.catalog import run_check
@@ -26,6 +29,96 @@ def partitions_into(parts, n):
         for v in range(p, n + 1):
             table[v] += table[v - p]
     return table[n]
+
+
+def ref_product(n, factors, grid=1):
+    """Oracle: the product factor by factor, one pass over the list for each
+    unit of |e| of each factor (1 + sigma q^k)^e."""
+    c = [1] + [0] * (n * grid - 1)
+    for k, sigma, e in factors:
+        if k <= 0:
+            raise ValueError("factor exponent must be positive")
+        for _ in range(max(e, 0)):
+            for i in range(len(c) - 1, k - 1, -1):
+                c[i] += sigma * c[i - k]
+        for _ in range(max(-e, 0)):
+            for i in range(k, len(c)):
+                c[i] -= sigma * c[i - k]
+    return PuiseuxSeries(grid, 0, (c, None, 1), n * grid)
+
+
+def divisor_sum_series(n, power, scale):
+    """Oracle: 1 + scale * sum sigma_power(m) q^m from Fraction divisor sums."""
+    coeffs = [Fraction(1)] + [
+        scale * sum(Fraction(d) ** power for d in range(1, m + 1) if m % d == 0)
+        for m in range(1, n)]
+    return PuiseuxSeries.make(1, 0, coeffs, n)
+
+
+# ---------------------------------------------------------------------------
+# the q-product routine
+# ---------------------------------------------------------------------------
+
+@st.composite
+def product_args(draw):
+    n = draw(st.integers(1, 60))
+    grid = draw(st.sampled_from([1, 2]))
+    ks = st.integers(1, 3) | st.integers(1, n * grid + 3)
+    factors = draw(st.lists(st.tuples(ks, st.sampled_from([1, -1]), st.integers(-30, 30)),
+                            max_size=10))
+    return n, factors, grid
+
+
+@settings(deadline=None)
+@given(product_args())
+def test_product_matches_the_factor_loop(args):
+    n, factors, grid = args
+    got, want = modular._product(n, factors, grid), ref_product(n, factors, grid)
+    assert (got.vec, got.lead, got.order, got.grid) == (want.vec, want.lead, want.order,
+                                                        want.grid)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_product_rejects_a_factor_exponent_below_one(k):
+    with pytest.raises(ValueError, match="factor exponent"):
+        modular._product(5, [(2, -1, 1), (k, 1, 0)])
+
+
+def test_product_raises_on_a_coefficient_that_is_not_an_integer():
+    # (1 - q)^(1/2) = 1 - q/2 - ...: the recurrence must not round it
+    with pytest.raises(ArithmeticError, match="coefficient 1"):
+        modular._product(4, [(1, -1, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize("name,power,scale", [("E4", 3, 240), ("E6", 5, -504)])
+def test_eisenstein_series_match_the_divisor_sums(name, power, scale):
+    n = 40
+    got, want = qseries(name, n), divisor_sum_series(n, power, scale)
+    assert (got.vec, got.lead, got.order, got.grid) == (want.vec, want.lead, want.order,
+                                                        want.grid)
+
+
+@pytest.mark.parametrize("name,k", [("h2", 1), ("h2", 9), ("h7", 1), ("h7", 5), ("h7", 14)])
+def test_a_raised_factor_exponent_breaks_the_product_form(monkeypatch, name, k):
+    # the catalog's own factor list with the first factor at q^k raised by
+    # one: the product gains a factor 1 + sigma q^k, so it first differs
+    # from the eta quotient at q^k, that is q^(k-1) after the shift by -1
+    product = modular._product
+
+    def raised(n, factors, grid=1):
+        listed = list(factors)
+        i = next(i for i, f in enumerate(listed) if f[0] == k)
+        kk, sigma, e = listed[i]
+        listed[i] = (kk, sigma, e + 1)
+        return product(n, listed, grid)
+
+    n = 20
+    build = modular._builders()[name + "_prod"]
+    eta = qseries(name, n)
+    assert first_mismatch(build(n), eta) is None
+    monkeypatch.setattr(modular, "_product", raised)
+    mismatch = first_mismatch(build(n), eta)
+    assert mismatch is not None and mismatch[0] == k - 1
 
 
 # ---------------------------------------------------------------------------
