@@ -44,6 +44,7 @@ _RESULTANT = ["tests/test_polyalg.py::test_resultant_matches_the_sylvester_deter
 _CROSSOVER = ["tests/test_kernel.py::test_mul_on_both_sides_of_the_crossover",
               "tests/test_kernel.py::test_poly_mul_on_both_sides_of_the_crossover"]
 _PRODUCT = "tests/test_modular.py::test_product_matches_the_factor_loop"
+_TWO_TORSION = "tests/test_ellcurve.py::test_two_torsion_expansion_matches_the_fixed_point_loop"
 _HOMOGENEOUS = ["tests/test_polyalg.py::test_homogeneous_matches_a_sum_of_pair_powers",
                 "tests/test_ellcurve.py::test_subst_matches_the_horner_oracle",
                 "tests/test_belyi.py::test_cover_relation_phi3_phi7"]
@@ -199,6 +200,17 @@ MUTANTS = [
      "new": "e * (-sigma) ** j",
      "nodes": [_PRODUCT, "tests/test_modular.py::test_eta_product_equals_theta_sum",
                "tests/test_modular.py::test_hauptmodul_products[h7]"]},
+    {"name": "2-torsion Newton step that claims two orders more than it doubles to",
+     "file": "src/darboux/ellcurve.py",
+     "old": "m = min(2 * u.order, n)",
+     "new": "m = min(2 * u.order + 2, n)",
+     "nodes": [f"{_TWO_TORSION}[E7]", f"{_TWO_TORSION}[E4]"]},
+    {"name": "hpg_series suffix product read one slot off",
+     "file": "src/darboux/hypergeom.py",
+     "old": "slots[k] * dens[k - 1]",
+     "new": "slots[k] * dens[k]",
+     "nodes": ["tests/test_hypergeom.py::test_hpg_series_matches_the_term_ratio_loop",
+               "tests/test_hypergeom.py::test_hpg_series_of_the_catalog_sets_matches_the_loop"]},
 ]
 
 

@@ -300,12 +300,14 @@ def local_expansion(curve: Curve, pt, n: int):
 
     Memoized per (curve, point, depth) in the one memo: the divisor
     checks and the curve charts expand at the same few points again and
-    again, and the cost is cubic in the depth.
+    again.
 
-    At a 2-torsion point the parameter is t = v; at a generic affine point
-    t = u - u0.  The place at infinity carries no rational Puiseux chart on
-    this model (the leading coefficient 32 resp. -7 is not a sixth power),
-    so only its valuations are used, never a series.
+    At a 2-torsion point the parameter is t = v, and u(t) comes from Newton
+    steps on u*c(u) = t^2, each of which doubles the depth; at a generic
+    affine point t = u - u0 and v(t) is one series square root.  The place
+    at infinity carries no rational Puiseux chart on this model (the
+    leading coefficient 32 resp. -7 is not a sixth power), so only its
+    valuations are used, never a series.
     """
     return memo((curve, pt, n), lambda: _expand_at_point(curve, pt, n))
 
@@ -320,12 +322,16 @@ def _expand_at_point(curve: Curve, pt, n: int):
     if v0 == 0:
         if u0 != 0:
             raise UnsupportedPointError("only the rational 2-torsion at the origin is charted")
-        # u = t^2 / c(u): fixed-point iteration from t^2 gains two orders per pass
-        t2 = PuiseuxSeries.monomial(QQ(2), n + 2)
-        u = t2
-        for _ in range(n // 2 + 2):
-            u = ps_div(t2, curve.c.eval_series(u).truncate(n))
+        # Newton lift on rhs(u) = t^2 (Brent & Kung 1978): u = t^2/c(0) holds
+        # below t^4, and u known below t^m, read as a polynomial, gives
+        # u - (rhs(u) - t^2)/rhs'(u) below t^2m
         v = PuiseuxSeries.monomial(QQ(1), n)
+        u = PuiseuxSeries.monomial(QQ(2), 4, scalar_inv(curve.c(0)))
+        while u.order < n:
+            m = min(2 * u.order, n)
+            u = PuiseuxSeries(1, u.lead, (u.vec[0] + [0] * (m - u.order), None, u.vec[2]), m)
+            f = curve.rhs.eval_series(u) - PuiseuxSeries.monomial(QQ(2), m)
+            u = u - ps_div(f, curve.rhs.derivative().eval_series(u))
         return u.truncate(n), v
     # generic point, t = u - u0
     useries = PuiseuxSeries.monomial(QQ(1), n) + PuiseuxSeries.const(u0, n)

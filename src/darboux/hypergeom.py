@@ -69,17 +69,28 @@ def p3(a1, a2, a3, b1, b2) -> HpgParams:
 
 
 def hpg_series(p: HpgParams, n: int) -> PuiseuxSeries:
-    """Taylor coefficients from the term ratio, exactly, to order n."""
-    coeffs = [ONE]
-    c = ONE
-    for k in range(n - 1):
-        for a in p.upper:
-            c = c * (a + k)
-        for b in p.lower:
-            c = c / (b + k)
-        c = c / (k + 1)
-        coeffs.append(c)
-    return PuiseuxSeries.make(1, 0, coeffs, n)
+    """Taylor coefficients to order n, as one integer vector.  With D the
+    common denominator of the parameters the term ratio is N_k/M_k, where
+    N_k = prod(D*a + k*D) and M_k = D*(k+1)*prod(D*b + k*D); over
+    d = M_0...M_(n-2), slot k is (N_0...N_(k-1))*(M_k...M_(n-2)), from one
+    suffix and one prefix pass, and ``PuiseuxSeries._of`` reduces."""
+    if n < 1:
+        raise ValueError("a hypergeometric series needs order n >= 1")
+    D = lcm(*(x.denominator for x in p.upper + p.lower))
+    ups, los = [int(a * D) for a in p.upper], [int(b * D) for b in p.lower]
+    dens = [D * (k + 1) * prod(b + k * D for b in los) for k in range(n - 1)]
+    if not all(dens):
+        raise ZeroDivisionError(f"a lower parameter of {p} is a nonpositive integer")
+    slots = [1] * n
+    for k in range(n - 1, 0, -1):
+        slots[k - 1] = slots[k] * dens[k - 1]
+    num = 1
+    for k in range(1, n):
+        num *= prod(a + (k - 1) * D for a in ups)
+        slots[k] *= num
+    if slots[0] < 0:
+        slots = [-c for c in slots]
+    return PuiseuxSeries._of(1, 0, (slots, None, slots[0]), n)
 
 
 def hpg_coefficient(p: HpgParams, k: int):

@@ -5,8 +5,10 @@ and the torsion audit."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darboux import ellcurve, verifier
+from darboux.cli import dump_series
 from darboux.scalars import QQ, rat
-from darboux.series import first_mismatch
+from darboux.series import PuiseuxSeries, first_mismatch, ps_div
 from darboux.polyalg import RationalMap, UniPoly, poly
 from darboux.ellcurve import (
     E4,
@@ -51,6 +53,63 @@ def test_expansion_at_origin_e7():
     # the expansion satisfies the curve equation identically
     rhs = E7.rhs.eval_series(u)
     assert first_mismatch(v * v, rhs, below=7) is None
+
+
+def ref_two_torsion_u(curve, n):
+    """Oracle: u(t) at the 2-torsion point (0, 0) by the fixed-point loop
+    u = t^2/c(u) from u = t^2, which gains two orders per pass."""
+    t2 = PuiseuxSeries.monomial(QQ(2), n + 2)
+    u = t2
+    for _ in range(n // 2 + 2):
+        u = ps_div(t2, curve.c.eval_series(u).truncate(n))
+    return u.truncate(n)
+
+
+def _fields(s):
+    return s.grid, s.lead, s.vec, s.order
+
+
+@pytest.mark.parametrize("curve", [E7, E4], ids=["E7", "E4"])
+def test_two_torsion_expansion_matches_the_fixed_point_loop(curve):
+    for n in range(2, 81):
+        u, v = local_expansion(curve, AffinePoint(0, 0), n)
+        assert _fields(u) == _fields(ref_two_torsion_u(curve, n)), n
+        assert _fields(v) == _fields(PuiseuxSeries.monomial(QQ(1), n))
+    # at depth 1 t itself has no window, as before
+    with pytest.raises(ValueError):
+        local_expansion(curve, AffinePoint(0, 0), 1)
+
+
+@pytest.mark.parametrize("curve", [E7, E4], ids=["E7", "E4"])
+def test_two_torsion_expansion_at_small_depths(curve):
+    origin = AffinePoint(0, 0)
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            local_expansion(curve, origin, n)
+    u, _ = local_expansion(curve, origin, 2)
+    assert u.is_zero() and _fields(u) == (1, 2, ([], None, 1), 2)
+    assert _fields(local_expansion(curve, origin, 3)[0]) == (1, 2, ([1], None, 1), 3)
+    assert _fields(local_expansion(curve, origin, 4)[0]) == (1, 2, ([1, 0], None, 1), 4)
+
+
+@pytest.mark.parametrize("name", ["t7:Phi7", "t4:Phi4"])
+def test_chart_dumps_match_the_fixed_point_loop(monkeypatch, name):
+    """`darboux --dump` of the Phi charts at orders 1 to 8, with u(t) from
+    the Newton lift and from the oracle loop."""
+    real, used = ellcurve._expand_at_point, []
+
+    def oracle(curve, pt, n):
+        if pt != AffinePoint(0, 0):
+            return real(curve, pt, n)
+        used.append(n)
+        return ref_two_torsion_u(curve, n), PuiseuxSeries.monomial(QQ(1), n)
+
+    monkeypatch.setattr(verifier, "_MEMO", {})
+    new = [dump_series(name, order) for order in range(1, 9)]
+    monkeypatch.setattr(verifier, "_MEMO", {})
+    monkeypatch.setattr(ellcurve, "_expand_at_point", oracle)
+    assert [dump_series(name, order) for order in range(1, 9)] == new
+    assert used and all(new[1:])
 
 
 def test_expansion_at_quarter_point():

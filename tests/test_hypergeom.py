@@ -2,6 +2,8 @@
 companion bases against the printed parameter matrices, contiguity,
 interlacing, and the 3F2 parameter sets the catalog states."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -22,12 +24,82 @@ from darboux.hypergeom import (
     shift_down,
     solution_series,
 )
-from darboux.hypergeom import p3
+from darboux.hypergeom import HpgParams, p3
 
 
 # ---------------------------------------------------------------------------
 # series values
 # ---------------------------------------------------------------------------
+
+def ref_hpg_series(p, n):
+    """Oracle: the coefficients by the term ratio, one scalar at a time."""
+    coeffs = [QQ(1)]
+    c = QQ(1)
+    for k in range(n - 1):
+        for a in p.upper:
+            c = c * (a + k)
+        for b in p.lower:
+            c = c / (b + k)
+        c = c / (k + 1)
+        coeffs.append(c)
+    return PuiseuxSeries.make(1, 0, coeffs, n)
+
+
+def _fields(s):
+    return s.grid, s.lead, s.vec, s.order
+
+
+_PARAM = st.builds(QQ, st.integers(-180, 180), st.integers(1, 60))
+_UPPER = st.one_of(_PARAM, st.builds(QQ, st.integers(-12, 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2), st.data(), st.integers(1, 80))
+def test_hpg_series_matches_the_term_ratio_loop(lower, data, n):
+    """3F2 and 2F1 parameter sets with denominators up to 60, negative ones,
+    upper ones at a nonpositive integer (a terminating series) and lower
+    ones at one too, which both routes must refuse alike."""
+    upper = [data.draw(_UPPER)] + [data.draw(_PARAM) for _ in range(lower)]
+    p = SimpleNamespace(upper=tuple(data.draw(st.permutations(upper))),
+                        lower=tuple(data.draw(_PARAM) for _ in range(lower)))
+    try:
+        want = _fields(ref_hpg_series(p, n))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            hpg_series(p, n)
+        return
+    assert _fields(hpg_series(p, n)) == want
+
+
+def test_hpg_series_refuses_a_lower_parameter_the_window_reaches():
+    """-k as a lower parameter divides by zero in the coefficient k + 1,
+    so exactly when k < n - 1."""
+    for k in range(4):
+        p = SimpleNamespace(upper=(QQ(1, 3), QQ(1, 2), QQ(-5, 7)), lower=(QQ(2, 9), QQ(-k)))
+        for n in range(1, 8):
+            if k < n - 1:
+                with pytest.raises(ZeroDivisionError):
+                    hpg_series(p, n)
+            else:
+                assert _fields(hpg_series(p, n)) == _fields(ref_hpg_series(p, n))
+
+
+def test_hpg_series_refuses_order_below_one():
+    p = p3("-1/42", "13/42", "9/14", "4/7", "6/7")
+    for n in (0, -1, -5):
+        with pytest.raises(ValueError):
+            hpg_series(p, n)
+    assert _fields(hpg_series(p, 1)) == (1, 0, ([1], None, 1), 1)
+
+
+def test_hpg_series_of_the_catalog_sets_matches_the_loop():
+    sets = [c.representative for c in CLASSES.values()]
+    sets += [m for c in CLASSES.values() for m in c.members]
+    sets.append(HpgParams((QQ(1, 3), QQ(-2, 7)), (QQ(5, 11),)))
+    for p in sets:
+        for n in (24, 50, 130):
+            assert _fields(hpg_series(p, n)) == _fields(ref_hpg_series(p, n)), (p, n)
+
 
 def test_terminating_when_upper_contains_zero():
     s = hpg_series(p3(0, "1/2", "1/3", "1/5", "2/5"), 8)
