@@ -211,6 +211,11 @@ MUTANTS = [
      "new": "slots[k] * dens[k]",
      "nodes": ["tests/test_hypergeom.py::test_hpg_series_matches_the_term_ratio_loop",
                "tests/test_hypergeom.py::test_hpg_series_of_the_catalog_sets_matches_the_loop"]},
+    {"name": "composition that lets an outer lead of -1 through",
+     "file": "src/darboux/series.py",
+     "old": "if a.grid != 1 or a.lead < 0:",
+     "new": "if a.grid != 1 or a.lead < -1:",
+     "nodes": ["tests/test_series.py::test_compose_negative_exponents"]},
 ]
 
 

@@ -53,12 +53,12 @@ from .scalars import QQ, ZERO, Omega
 def _vec(coeffs):
     """Integer vector (re, im, d) of a list of exact scalars."""
     if not any(isinstance(c, Omega) for c in coeffs):
-        d = lcm(*{int(c.denominator) for c in coeffs})
-        return [int(c.numerator) * (d // int(c.denominator)) for c in coeffs], None, d
+        d = lcm(*{c.denominator for c in coeffs})
+        return [c.numerator * (d // c.denominator) for c in coeffs], None, d
     parts = [(c.a, c.b) if isinstance(c, Omega) else (c, ZERO) for c in coeffs]
-    d = lcm(*{int(x.denominator) for p in parts for x in p})
-    return ([int(x.numerator) * (d // int(x.denominator)) for x, _ in parts],
-            [int(y.numerator) * (d // int(y.denominator)) for _, y in parts], d)
+    d = lcm(*{x.denominator for p in parts for x in p})
+    return ([x.numerator * (d // x.denominator) for x, _ in parts],
+            [y.numerator * (d // y.denominator) for _, y in parts], d)
 
 
 def _scalars(v):
@@ -285,7 +285,7 @@ def _kpow(x, p, q, n):
     denominator K! * (q*d)**K (Knuth, TAOCP vol. 2, section 4.7).
     """
     xr, xi, d = x
-    s = gcd(*[i for i in range(1, n) if xr[i] or (xi is not None and xi[i])]) or 1
+    s = _stride([v[:n] for v in (xr, xi) if v is not None])
     ur = xr[:n:s]
     ui = [0] * len(ur) if xi is None else xi[:n:s]
     qd = q * d

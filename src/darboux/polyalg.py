@@ -465,9 +465,8 @@ class MultiPoly:
 
     def scale(self, c):
         c = QQ(c)
-        n = int(c.numerator)
-        return MultiPoly._of({m: n * x for m, x in self.num.items()},
-                             int(c.denominator) * self.den)
+        return MultiPoly._of({m: c.numerator * x for m, x in self.num.items()},
+                             c.denominator * self.den)
 
     def __pow__(self, n: int):
         nv = self.nvars

@@ -1,8 +1,8 @@
 """Exact coefficient arithmetic: rationals and the cube-root-of-unity extension.
 
-Rationals are gmpy2.mpq when available (noticeably faster on the big
-numerators that show up around series order 64), plain Fraction otherwise.
-Both are exact, hash-compatible and interoperate through numbers.Rational.
+Rationals are ``fractions.Fraction``; the series and check layers keep
+their coefficients as integer vectors (``darboux.kernel``) and build
+scalars only where a value is read.
 
 Omega models a + b*w with w*w = -1 - w, i.e. w a primitive cube root of
 unity.  Mixed arithmetic with ints / rationals coerces automatically.
@@ -11,14 +11,7 @@ unity.  Mixed arithmetic with ints / rationals coerces automatically.
 from __future__ import annotations
 
 import numbers
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as QQ
-    BACKEND = "gmpy2"
-except ImportError:  # gmpy2 is an optional speed-up; Fraction gives the same exact results
-    QQ = Fraction
-    BACKEND = "fractions"
+from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)

@@ -53,7 +53,8 @@ class PowBaseError(ValueError):
 
 
 class ValuationError(ValueError):
-    """Composition argument without strictly positive valuation."""
+    """Composition of a series that is not Taylor (integer grid, lead >= 0),
+    or at an argument without strictly positive valuation."""
 
 
 def _ceil_div(n, d):
@@ -111,8 +112,8 @@ class PuiseuxSeries:
     @staticmethod
     def monomial(exp, order_exp, coeff=ONE) -> "PuiseuxSeries":
         e = QQ(exp)
-        grid = int(e.denominator)
-        lead = int(e.numerator)
+        grid = e.denominator
+        lead = e.numerator
         n = _exp_to_grid_floorplus(order_exp, grid)
         if n <= lead:
             raise ValueError("order bound must exceed the monomial exponent")
@@ -124,11 +125,11 @@ class PuiseuxSeries:
         on a multiple of the given grid."""
         pairs = [(QQ(e), c) for e, c in pairs]
         for e, _ in pairs:
-            grid = lcm(grid, int(e.denominator))
+            grid = lcm(grid, e.denominator)
         n = _exp_to_grid_floorplus(order_exp, grid)
         if not pairs:
             return _zero(grid, n)
-        idx = [int(e.numerator) * (grid // int(e.denominator)) for e, _ in pairs]
+        idx = [e.numerator * (grid // e.denominator) for e, _ in pairs]
         lead = min(idx)
         if n <= max(idx):
             raise ValueError("order bound must exceed every listed exponent")
@@ -199,9 +200,9 @@ class PuiseuxSeries:
     def shift(self, exp) -> "PuiseuxSeries":
         """The series times z^exp: its vector on the grid lcm(grid, den exp)."""
         e = QQ(exp)
-        g = lcm(self.grid, int(e.denominator))
+        g = lcm(self.grid, e.denominator)
         s = self.to_grid(g)
-        k = int(e.numerator) * (g // int(e.denominator))
+        k = e.numerator * (g // e.denominator)
         return PuiseuxSeries(g, s.lead + k, s.vec, s.order + k)
 
     # -- arithmetic -------------------------------------------------------
@@ -269,7 +270,7 @@ def _zero(grid: int, n: int) -> PuiseuxSeries:
 def _exp_to_grid_floorplus(exp, grid: int) -> int:
     """Smallest grid index n with {exponents < exp} == {indices < n}."""
     e = QQ(exp)
-    return _ceil_div(int(e.numerator) * grid, int(e.denominator))
+    return _ceil_div(e.numerator * grid, e.denominator)
 
 
 # -- series operations -------------------------------------------------------
@@ -322,11 +323,11 @@ def ps_pow(a: PuiseuxSeries, r) -> PuiseuxSeries:
     if r == 1:
         return a
     new_lead = a.lead_exponent * r
-    g = lcm(a.grid, int(new_lead.denominator))
+    g = lcm(a.grid, new_lead.denominator)
     rel = a.order - a.lead
-    lead = int(new_lead.numerator) * (g // int(new_lead.denominator))
+    lead = new_lead.numerator * (g // new_lead.denominator)
     f = g // a.grid
-    yr, yi, dy = _kpow(a.vec, int(r.numerator), int(r.denominator), rel)
+    yr, yi, dy = _kpow(a.vec, r.numerator, r.denominator, rel)
     n = rel * f
     return PuiseuxSeries(g, lead, (_spread(yr, f, n), yi and _spread(yi, f, n), dy), lead + n)
 
@@ -374,43 +375,23 @@ def _horner(c, b: PuiseuxSeries, stop: int) -> PuiseuxSeries:
     return PuiseuxSeries._of(b.grid, base, acc, stop)
 
 
-def _part(a: PuiseuxSeries, exps):
-    """The coefficient vector of a at the grid indices exps, 0 where a has
-    no slot."""
-    re, im, d = a.vec
-    idx = [e - a.lead for e in exps]
-    have = range(len(re))
-    return ([re[i] if i in have else 0 for i in idx],
-            im and [im[i] if i in have else 0 for i in idx], d)
-
-
 def ps_compose(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    """a(b) for an integer-grid a and positive-valuation b.
-
-    The part of a at exponents >= 0 is a polynomial in b, the part below 0
-    a polynomial in 1/b of valuation -v(b); both run through _horner.
-    """
-    if a.grid != 1:
-        raise ValuationError("composition requires an integer exponent grid on the outer series")
+    """a(b) for a Taylor series a (integer grid, lead >= 0) and a
+    positive-valuation b: a polynomial in b, run through _horner."""
+    if a.grid != 1 or a.lead < 0:
+        raise ValuationError("composition requires an outer series on the integer grid "
+                             "with lead >= 0")
     if b.is_zero() or b.lead <= 0:
         raise ValuationError("composition argument must have positive valuation")
     vb = b.lead_exponent
-    nb = b.order_exponent
     bound = QQ(a.order) * vb
-    re, im, _ = a.vec
+    re, im, d = a.vec
     support = [a.lead + i for i in range(len(re)) if (re[i] or im and im[i]) and a.lead + i]
     if support:
-        e0 = min(support)
-        bound = min(bound, nb + (e0 - 1) * vb)
+        bound = min(bound, b.order_exponent + (min(support) - 1) * vb)
     stop = _exp_to_grid_floorplus(bound, b.grid)
-    acc = _horner(_part(a, range(a.order)), b, stop)
-    if a.lead < 0:
-        # 1/b is known below N(b) - 2v(b): its window N(b) - (1 - a.lead)v(b)
-        # is the bound's second term; slot 0 is a.order, where a has none,
-        # since the constant belongs to the part above
-        binv = ps_div(PuiseuxSeries.const(ONE, nb - vb, b.grid), b)
-        acc = acc + _horner(_part(a, [a.order, *range(-1, a.lead - 1, -1)]), binv, stop)
-    return acc
+    pad = [0] * a.lead
+    return _horner((pad + re, im and pad + im, d), b, stop)
 
 
 def first_mismatch(a: PuiseuxSeries, b: PuiseuxSeries, below=None):

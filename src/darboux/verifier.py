@@ -229,13 +229,9 @@ def _hpg_side_dlog(chart: str, slot_exponent, upper, lower, n) -> PuiseuxSeries:
     degree-24 covering; scalar-free, so candidate matching needs no radical
     normalizations."""
     b = chart_series(chart, "Phi3", n + 2)
-    db = b.derivative()
-    f = hpg_series(HpgParams(upper, lower), int(n) + 4)
-    fb = ps_compose(f, b)
-    dfb = ps_compose(f.derivative(), b)
-    out = ps_div(ps_mul(dfb, db), fb)
+    out = _dlog(ps_compose(hpg_series(HpgParams(upper, lower), int(n) + 4), b))
     if QQ(slot_exponent):
-        out = out + ps_div(db, b).scale(QQ(slot_exponent))
+        out = out + _dlog(b).scale(QQ(slot_exponent))
     return out
 
 
