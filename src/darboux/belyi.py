@@ -107,11 +107,7 @@ def rh_genus(p: BranchingPattern) -> int:
     """2 - 2g = 2 deg - sum (e - 1) over the three fibers."""
     if not p.is_consistent():
         raise ValueError(f"inconsistent pattern {p}")
-    ram = sum(e - 1 for fiber in p.fibers() for e in fiber)
-    two_minus_2g = 2 * p.degree - ram
-    if two_minus_2g % 2:
-        raise ValueError("odd Euler characteristic")
-    return (2 - two_minus_2g) // 2
+    return rh_genus_cover(p.degree, 0, [e for f in p.fibers() for e in f])
 
 
 def rh_genus_cover(degree: int, base_genus: int, branch_orders) -> int:

@@ -21,6 +21,7 @@ from .belyi import (
     belyi_certify,
     branching_pattern,
     genus1_fiber_one_square,
+    pattern,
     phi2_map,
     phi3_star,
     phi3_star_parts,
@@ -40,6 +41,7 @@ from .ellcurve import (
     TABLE1,
     TABLE2,
     CurveFunction,
+    PlaceCluster,
     cf,
     divisor_norm,
     phi4_on_e4,
@@ -64,7 +66,7 @@ from .report import Mismatch, failed, passed
 from .scalars import QQ, ONE, Omega, W, rat
 from .series import PuiseuxSeries, first_mismatch
 from .verifier import Hpg, IdentitySpec, Pw, Term, memo, register_chart, verify_identity
-from .verifier import verify_radical_candidate_separation
+from .verifier import _hpg_side_dlog, _product_dlog
 
 q = rat
 
@@ -711,8 +713,20 @@ def _genus1_pattern_check(which):
         if not rep.ok:
             return rep
         _, build, divisor = _GENUS1_COVERINGS[which]
-        if not genus1_fiber_one_square(build(), divisor_norm(divisor)[1], 12):
-            return failed(detail="fiber over 1 is not [2^12]")
+        stated = COVERINGS[which].expected_pattern
+        # each place of the divisor is |order| sheets, once per point it stands for
+        fibers = {True: [], False: []}
+        for place, c in divisor:
+            fibers[c > 0] += [abs(c)] * (place.size if isinstance(place, PlaceCluster) else 1)
+        half = len(stated.over1)
+        got = pattern(fibers[True], [2] * half, fibers[False])
+        for where, want, have in zip(("0", "1", "infinity"), stated.fibers(), got.fibers()):
+            if want != have:
+                return failed(detail=f"stated fiber over {where} is {want}, not {have}")
+        if not genus1_fiber_one_square(build(), divisor_norm(divisor)[1], half):
+            return failed(detail=f"fiber over 1 is not [2^{half}]")
+        if rh_genus(stated) != COVERINGS[which].expected_genus:
+            return failed(detail="genus mismatch")
         return passed()
     return run
 
@@ -745,10 +759,29 @@ def _coeff_check(name, expected):
 _HPG_DEPTH = 8                   # series depth of the 3F2 class checks, whatever the order
 
 
+# the evaluations of each class of ``hypergeom.CLASSES``, by identity id
+CLASS_MEMBERS = {
+    "3A": ("thm-3A-1", "thm-3A-2", "thm-3A-3", "contig-3A-extra",
+           "thm-omega-1", "thm-omega-2", "thm-omega-3"),
+    "3B": ("thm-3B-1", "thm-3B-2", "thm-3B-3"),
+    "4A": ("thm-4A-1", "thm-4A-2", "thm-4A-3"),
+    "4B": ("thm-4B-1", "thm-4B-2", "thm-4B-3"),
+    "7A": ("thm-7A-1", "thm-7A-2", "thm-7A-3", "thm-7Ainf-1", "thm-7Ainf-2", "thm-7Ainf-3"),
+    "7B": ("thm-7B-1", "thm-7B-2", "thm-7B-3", "thm-7B-extra"),
+}
+
+
+def _hpg_atom(spec_id):
+    spec = IDENTITY_BY_ID[spec_id]
+    (f,) = [f for t in spec.left + spec.right for f in t.factors if isinstance(f, Hpg)]
+    return f.params()
+
+
 def _class_params():
-    for cls in CLASSES.values():
-        for p in (cls.representative,) + cls.members:
-            yield cls.label, p
+    for label, representative in CLASSES.items():
+        yield label, representative
+        for spec_id in CLASS_MEMBERS[label]:
+            yield label, _hpg_atom(spec_id)
 
 
 def _hpg_ode_check(order):
@@ -786,12 +819,6 @@ _CONTIGUOUS = (("thm-3A-3", "contig-3A-extra"), ("thm-7Ainf-2", "thm-7A-1"),
                ("thm-7Ainf-3", "thm-7A-2"), ("thm-7B-2", "thm-7B-extra"))
 
 
-def _hpg_atom(spec_id):
-    spec = IDENTITY_BY_ID[spec_id]
-    (f,) = [f for t in spec.left + spec.right for f in t.factors if isinstance(f, Hpg)]
-    return f.params()
-
-
 def _hpg_contiguity_check(order):
     for src, dst in _CONTIGUOUS:
         p, target = _hpg_atom(src), _hpg_atom(dst)
@@ -804,6 +831,69 @@ def _hpg_contiguity_check(order):
         if hit is not None:
             return failed(order, Mismatch(*hit), detail=f"{src} -> {dst}")
     return passed(order)
+
+
+# slot exponent, the evaluation whose 3F2 the slot pulls back, then the true
+# candidate and the decoy as (factor, exponent) lists
+CANDIDATE_SETS = {
+    "3A": [
+        (QQ(0), "thm-3A-1",
+         [("one_minus_x", QQ(1, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))],
+         [("one_minus_x", QQ(3, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))]),
+        (QQ(1, 7), "thm-3A-2",
+         [("x", QQ(1, 7)), ("one_minus_x", QQ(3, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))],
+         [("x", QQ(1, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))]),
+        (QQ(3, 7), "thm-3A-3",
+         [("x", QQ(3, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))],
+         [("x", QQ(3, 7)), ("one_minus_x", QQ(1, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))]),
+    ],
+}
+
+
+def verify_radical_candidate_separation(class_id: str, n: int = 10) -> VerificationReport:
+    """Re-enact the selection of the true radical solution among candidates.
+
+    For the first family the two candidates differ by a power of (1-x) and
+    are separated by comparing logarithmic derivatives against the
+    hypergeometric side.  For the second family each candidate carries an
+    undetermined linear prefactor (1 - c x); c is solved from the first
+    series coefficient and the later coefficients must then agree, which
+    singles out one family and pins c.
+    """
+    if class_id == "3A":
+        for slot, spec_id, true_f, decoy_f in CANDIDATE_SETS["3A"]:
+            target = _hpg_side_dlog("x", slot, _hpg_atom(spec_id), n)
+            good = _product_dlog("x", true_f, n + 2)
+            bad = _product_dlog("x", decoy_f, n + 2)
+            lim = min(target.order_exponent, good.order_exponent, bad.order_exponent)
+            if first_mismatch(target, good, below=lim) is not None:
+                return failed(n, detail=f"true candidate rejected at slot {slot}")
+            if first_mismatch(target, bad, below=lim) is None:
+                return failed(n, detail=f"both candidates match at slot {slot}: engine bug")
+        return passed(n)
+    if class_id == "3B":
+        target = _hpg_side_dlog("x", QQ(0), _hpg_atom("thm-3B-1"), n)
+        outcomes = {}
+        for label, e1 in (("A", QQ(2, 7)), ("B", QQ(3, 7))):
+            fixed = _product_dlog("x", [("one_minus_x", e1), ("G0", QQ(-3, 14)),
+                                        ("G1", QQ(-3, 14))], n + 2)
+            g = target - fixed
+            # remaining part must be dlog(1 - c x) = -c - c^2 x - c^3 x^2 - ...
+            c = -g.coefficient(0)
+            consistent = bool(c) or g.is_zero()
+            for k in range(1, 5):
+                if g.coefficient(k) != -(c ** (k + 1)):
+                    consistent = False
+                    break
+            outcomes[label] = (consistent, c)
+        okb, cb = outcomes["B"]
+        oka, _ = outcomes["A"]
+        if okb and not oka and cb == 3:
+            return passed(n, detail="prefactor (1-3x) variant matches")
+        if okb and oka:
+            return failed(n, detail="both families admit a prefactor: engine bug")
+        return failed(n, detail=f"selection failed: {outcomes}")
+    raise KeyError(f"no candidate family {class_id!r}")
 
 
 _RELATION_ANCHORS = {

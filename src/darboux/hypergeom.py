@@ -27,7 +27,6 @@ __all__ = [
     "interlacing_check",
     "galois_conjugates",
     "NonGenericError",
-    "HpgClass",
     "CLASSES",
 ]
 
@@ -246,50 +245,13 @@ def _frac(x):
     return x - (x.numerator // x.denominator)
 
 
-@dataclass(frozen=True)
-class HpgClass:
-    label: str
-    representative: HpgParams   # the classification table entry
-    members: tuple              # parameter sets appearing in shipped evaluations
-
-
+# the classification table: one representative parameter set per finite
+# monodromy class; the catalog names the evaluations of each class by id
 CLASSES = {
-    "3A": HpgClass("3A", p3("-3/14", "1/14", "9/14", "1/3", "2/3"), (
-        p3("-1/42", "13/42", "9/14", "4/7", "6/7"),
-        p3("5/42", "19/42", "11/14", "5/7", "8/7"),
-        p3("17/42", "31/42", "15/14", "9/7", "10/7"),
-        p3("1/14", "17/42", "31/42", "3/7", "9/7"),
-        p3("-1/42", "5/42", "17/42", "1/3", "2/3"),
-        p3("13/42", "19/42", "31/42", "2/3", "4/3"),
-        p3("9/14", "11/14", "15/14", "4/3", "5/3"),
-    )),
-    "3B": HpgClass("3B", p3("-1/14", "3/14", "5/14", "1/3", "2/3"), (
-        p3("-1/14", "11/42", "25/42", "4/7", "5/7"),
-        p3("3/14", "23/42", "37/42", "6/7", "9/7"),
-        p3("5/14", "29/42", "43/42", "8/7", "10/7"),
-    )),
-    "4A": HpgClass("4A", p3("-3/14", "1/14", "9/14", "1/4", "3/4"), (
-        p3("-3/28", "11/28", "9/14", "4/7", "6/7"),
-        p3("1/28", "15/28", "11/14", "5/7", "8/7"),
-        p3("9/28", "23/28", "15/14", "9/7", "10/7"),
-    )),
-    "4B": HpgClass("4B", p3("-1/14", "3/14", "5/14", "1/4", "3/4"), (
-        p3("-1/28", "3/14", "13/28", "2/7", "6/7"),
-        p3("3/28", "5/14", "17/28", "3/7", "8/7"),
-        p3("19/28", "13/14", "33/28", "11/7", "12/7"),
-    )),
-    "7A": HpgClass("7A", p3("-1/14", "1/14", "5/14", "1/7", "5/7"), (
-        p3("-1/14", "1/14", "5/14", "1/7", "5/7"),
-        p3("3/14", "5/14", "9/14", "3/7", "9/7"),
-        p3("11/14", "13/14", "17/14", "11/7", "13/7"),
-        p3("-1/14", "3/14", "11/14", "4/7", "6/7"),
-        p3("1/14", "5/14", "13/14", "5/7", "8/7"),
-        p3("5/14", "9/14", "17/14", "9/7", "10/7"),
-    )),
-    "7B": HpgClass("7B", p3("-1/14", "1/14", "9/14", "2/7", "6/7"), (
-        p3("-1/14", "1/14", "9/14", "2/7", "6/7"),
-        p3("1/14", "3/14", "11/14", "3/7", "8/7"),
-        p3("9/14", "11/14", "19/14", "11/7", "12/7"),
-        p3("-3/14", "1/14", "3/14", "1/7", "3/7"),
-    )),
+    "3A": p3("-3/14", "1/14", "9/14", "1/3", "2/3"),
+    "3B": p3("-1/14", "3/14", "5/14", "1/3", "2/3"),
+    "4A": p3("-3/14", "1/14", "9/14", "1/4", "3/4"),
+    "4B": p3("-1/14", "3/14", "5/14", "1/4", "3/4"),
+    "7A": p3("-1/14", "1/14", "5/14", "1/7", "5/7"),
+    "7B": p3("-1/14", "1/14", "9/14", "2/7", "6/7"),
 }

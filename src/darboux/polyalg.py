@@ -270,9 +270,6 @@ def poly(*coeffs) -> UniPoly:
     return UniPoly([QQ(c) if isinstance(c, (int, str)) else c for c in coeffs])
 
 
-X = UniPoly([ZERO, ONE])
-
-
 def squarefree_multiplicities(p: UniPoly):
     """Yun splitting: [(monic squarefree factor, multiplicity)], pairwise coprime."""
     if p.is_zero():

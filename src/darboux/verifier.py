@@ -6,7 +6,8 @@ named argument series) plus the chart they expand in.  Verification
 expands both sides exactly and compares coefficient-for-coefficient below
 the requested order; the engine bumps its internal padding until both
 sides are provably known that far, so a reported pass never rests on
-unknown coefficients.
+unknown coefficients.  The logarithmic derivatives at the end serve the
+catalog's radical-candidate separation.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "verify_identity",
     "exponent_slots",
     "perturb",
-    "verify_radical_candidate_separation",
 ]
 
 
@@ -210,7 +210,7 @@ def perturb(spec: IdentitySpec, slot, delta=None) -> IdentitySpec:
     return replace(spec, id=spec.id + "~perturbed", right=nside)
 
 
-# -- the radical-candidate separation re-enactment ----------------------------
+# -- logarithmic derivatives for the radical-candidate separation ---------------
 
 def _dlog(s: PuiseuxSeries) -> PuiseuxSeries:
     return ps_div(s.derivative(), s)
@@ -224,75 +224,12 @@ def _product_dlog(chart: str, factors, n) -> PuiseuxSeries:
     return total
 
 
-def _hpg_side_dlog(chart: str, slot_exponent, upper, lower, n) -> PuiseuxSeries:
-    """Logarithmic derivative of z^slot * F(params; z) pulled through the
+def _hpg_side_dlog(chart: str, slot_exponent, p: HpgParams, n) -> PuiseuxSeries:
+    """Logarithmic derivative of z^slot * F(p; z) pulled through the
     degree-24 covering; scalar-free, so candidate matching needs no radical
     normalizations."""
     b = chart_series(chart, "Phi3", n + 2)
-    out = _dlog(ps_compose(hpg_series(HpgParams(upper, lower), int(n) + 4), b))
+    out = _dlog(ps_compose(hpg_series(p, int(n) + 4), b))
     if QQ(slot_exponent):
         out = out + _dlog(b).scale(QQ(slot_exponent))
     return out
-
-
-CANDIDATE_SETS = {
-    "3A": [
-        # slot exponent, params, true candidate, decoy (factor, exponent) lists
-        (QQ(0), ("-1/42", "13/42", "9/14"), ("4/7", "6/7"),
-         [("one_minus_x", QQ(1, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))],
-         [("one_minus_x", QQ(3, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))]),
-        (QQ(1, 7), ("5/42", "19/42", "11/14"), ("5/7", "8/7"),
-         [("x", QQ(1, 7)), ("one_minus_x", QQ(3, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))],
-         [("x", QQ(1, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))]),
-        (QQ(3, 7), ("17/42", "31/42", "15/14"), ("9/7", "10/7"),
-         [("x", QQ(3, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))],
-         [("x", QQ(3, 7)), ("one_minus_x", QQ(1, 7)), ("G0", QQ(-1, 14)), ("G1", QQ(-1, 14))]),
-    ],
-}
-
-
-def verify_radical_candidate_separation(class_id: str, n: int = 10) -> VerificationReport:
-    """Re-enact the selection of the true radical solution among candidates.
-
-    For the first family the two candidates differ by a power of (1-x) and
-    are separated by comparing logarithmic derivatives against the
-    hypergeometric side.  For the second family each candidate carries an
-    undetermined linear prefactor (1 - c x); c is solved from the first
-    series coefficient and the later coefficients must then agree, which
-    singles out one family and pins c.
-    """
-    if class_id == "3A":
-        for slot, upper, lower, true_f, decoy_f in CANDIDATE_SETS["3A"]:
-            target = _hpg_side_dlog("x", slot, upper, lower, n)
-            good = _product_dlog("x", true_f, n + 2)
-            bad = _product_dlog("x", decoy_f, n + 2)
-            lim = min(target.order_exponent, good.order_exponent, bad.order_exponent)
-            if first_mismatch(target, good, below=lim) is not None:
-                return failed(n, detail=f"true candidate rejected at slot {slot}")
-            if first_mismatch(target, bad, below=lim) is None:
-                return failed(n, detail=f"both candidates match at slot {slot}: engine bug")
-        return passed(n)
-    if class_id == "3B":
-        slot = QQ(0)
-        target = _hpg_side_dlog("x", slot, ("-1/14", "11/42", "25/42"), ("4/7", "5/7"), n)
-        outcomes = {}
-        for label, e1 in (("A", QQ(2, 7)), ("B", QQ(3, 7))):
-            fixed = _product_dlog("x", [("one_minus_x", e1), ("G0", QQ(-3, 14)),
-                                        ("G1", QQ(-3, 14))], n + 2)
-            g = target - fixed
-            # remaining part must be dlog(1 - c x) = -c - c^2 x - c^3 x^2 - ...
-            c = -g.coefficient(0)
-            consistent = bool(c) or g.is_zero()
-            for k in range(1, 5):
-                if g.coefficient(k) != -(c ** (k + 1)):
-                    consistent = False
-                    break
-            outcomes[label] = (consistent, c)
-        okb, cb = outcomes["B"]
-        oka, _ = outcomes["A"]
-        if okb and not oka and cb == 3:
-            return passed(n, detail="prefactor (1-3x) variant matches")
-        if okb and oka:
-            return failed(n, detail="both families admit a prefactor: engine bug")
-        return failed(n, detail=f"selection failed: {outcomes}")
-    raise KeyError(f"no candidate family {class_id!r}")

@@ -4,6 +4,7 @@ and the composition relations among the coverings."""
 import pytest
 
 from darboux import belyi, ellcurve
+from darboux.catalog import run_check
 from darboux.polyalg import RationalMap, UniPoly, poly
 from darboux.scalars import ONE, QQ, ZERO, rat
 from darboux.belyi import (
@@ -80,6 +81,13 @@ def test_rh_genus_rejects_inconsistent():
         rh_genus(pattern([2, 1], [2], [2, 1]))
 
 
+def test_rh_genus_of_every_covering_and_an_odd_euler_characteristic():
+    for name, entry in COVERINGS.items():
+        assert rh_genus(entry.expected_pattern) == entry.expected_genus, name
+    with pytest.raises(ValueError, match="odd Euler characteristic"):
+        rh_genus(pattern([2], [1, 1], [1, 1]))
+
+
 def test_rh_genus_cover_remarks():
     assert rh_genus_cover(12, 0, [12] * 12) == 55
     assert rh_genus_cover(6, 3, [6] * 24) == 73
@@ -105,6 +113,31 @@ def test_genus1_fiber_over_one():
     assert genus1_fiber_one_square(phi7(), pole7, 12)
     pole4 = T_CLUSTER.minpoly ** 4
     assert genus1_fiber_one_square(phi4_on_e4(), pole4, 12)
+
+
+_SEVENS = [7, 7, 7, 1, 1, 1]
+
+
+@pytest.mark.parametrize("name, stated, detail", [
+    ("Phi7", pattern([7, 7, 7, 2, 1], [2] * 12, _SEVENS),
+     "stated fiber over 0 is (7, 7, 7, 2, 1), not (7, 7, 7, 1, 1, 1)"),
+    ("Phi7", pattern(_SEVENS, [2] * 11 + [1, 1], _SEVENS),
+     f"stated fiber over 1 is {(2,) * 11 + (1, 1)}, not {(2,) * 13}"),
+    ("Phi4", pattern(_SEVENS, [2] * 12, [4] * 5 + [2, 2]),
+     "stated fiber over infinity is (4, 4, 4, 4, 4, 2, 2), not (4, 4, 4, 4, 4, 4)"),
+], ids=["over0", "over1", "overinf"])
+def test_genus1_pattern_check_names_a_wrong_stated_fiber(monkeypatch, name, stated, detail):
+    monkeypatch.setitem(COVERINGS, name, belyi.CoveringCatalogEntry(name, stated, 1))
+    rep = run_check(f"pattern-{name}", 16)
+    assert (rep.status, rep.detail) == ("fail", detail)
+
+
+def test_genus1_pattern_check_compares_the_stated_genus(monkeypatch):
+    entry = COVERINGS["Phi4"]
+    monkeypatch.setitem(COVERINGS, "Phi4",
+                        belyi.CoveringCatalogEntry("Phi4", entry.expected_pattern, 0))
+    rep = run_check("pattern-Phi4", 16)
+    assert (rep.status, rep.detail) == ("fail", "genus mismatch")
 
 
 def test_cover_relation_phi3_phi7():

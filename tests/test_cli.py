@@ -9,7 +9,6 @@ import sys
 import pytest
 
 from darboux.cli import ORDER_CEILING, dump_series, format_text, main, run_suite
-from darboux.scalars import QQ
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -235,7 +234,7 @@ def test_order_at_the_ceiling_is_accepted(capsys):
 def test_json_report_names_backend_and_durations(capsys):
     assert main(["klein-invariants", "--order", "16", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["backend"] == ("fractions" if QQ.__module__ == "fractions" else "gmpy2")
+    assert doc["backend"] == "fractions"
     assert doc["results"]
     for r in doc["results"]:
         assert isinstance(r["duration_ms"], int) and r["duration_ms"] >= 0

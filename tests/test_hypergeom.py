@@ -13,7 +13,6 @@ from darboux import catalog
 from darboux.catalog import IDENTITIES, run_check
 from darboux.hypergeom import (
     CLASSES,
-    HpgClass,
     NonGenericError,
     companion_basis,
     hpg_coefficient,
@@ -93,8 +92,7 @@ def test_hpg_series_refuses_order_below_one():
 
 
 def test_hpg_series_of_the_catalog_sets_matches_the_loop():
-    sets = [c.representative for c in CLASSES.values()]
-    sets += [m for c in CLASSES.values() for m in c.members]
+    sets = [p for _, p in catalog._class_params()]
     sets.append(HpgParams((QQ(1, 3), QQ(-2, 7)), (QQ(5, 11),)))
     for p in sets:
         for n in (24, 50, 130):
@@ -134,7 +132,7 @@ def test_catalog_classes_have_pochhammer_coefficients():
 
 def test_coefficients_check_names_a_wrong_member(monkeypatch):
     """A member whose series is that of a contiguous neighbour must fail."""
-    wrong = CLASSES["3B"].members[2]
+    wrong = catalog._hpg_atom(catalog.CLASS_MEMBERS["3B"][2])
 
     def series(p, n):
         return hpg_series(p.shifted(dupper={1: 1}) if p == wrong else p, n)
@@ -200,10 +198,9 @@ def assert_same_series(got, want):
 
 
 def _catalog_solutions():
-    for cls in CLASSES.values():
-        for p in (cls.representative,) + cls.members:
-            for sol in companion_basis(p).all():
-                yield p, sol
+    for _, p in catalog._class_params():
+        for sol in companion_basis(p).all():
+            yield p, sol
 
 
 def test_residual_matches_delta_chains_on_catalog_solutions():
@@ -253,7 +250,7 @@ def test_catalog_classes_all_solve_their_equations():
 
 def test_ode_check_names_a_wrong_member(monkeypatch):
     """A member whose basis is that of a contiguous neighbour must fail."""
-    wrong = CLASSES["4A"].members[1]
+    wrong = catalog._hpg_atom(catalog.CLASS_MEMBERS["4A"][1])
 
     def basis(p):
         return companion_basis(p.shifted(dupper={0: 1}) if p == wrong else p)
@@ -270,19 +267,19 @@ def test_ode_check_names_a_wrong_member(monkeypatch):
 
 def test_m_matrix_printed_values():
     # the three classification-table matrices as printed
-    m3b = m_matrix(CLASSES["3B"].representative)
+    m3b = m_matrix(CLASSES["3B"])
     assert m3b == (
         (rat(-1, 14), rat(11, 42), rat(25, 42)),
         (rat(3, 14), rat(23, 42), rat(37, 42)),
         (rat(5, 14), rat(29, 42), rat(43, 42)),
     )
-    m4b = m_matrix(CLASSES["4B"].representative)
+    m4b = m_matrix(CLASSES["4B"])
     assert m4b == (
         (rat(-1, 14), rat(5, 28), rat(19, 28)),
         (rat(3, 14), rat(13, 28), rat(27, 28)),
         (rat(5, 14), rat(17, 28), rat(31, 28)),
     )
-    m7b = m_matrix(CLASSES["7B"].representative)
+    m7b = m_matrix(CLASSES["7B"])
     assert m7b == (
         (rat(-1, 14), rat(1, 14), rat(9, 14)),
         (rat(1, 14), rat(3, 14), rat(11, 14)),
@@ -295,7 +292,7 @@ def test_m_matrix_printed_values():
 
 
 def test_companion_exponents_7b():
-    basis = companion_basis(CLASSES["7B"].representative)
+    basis = companion_basis(CLASSES["7B"])
     assert sorted(s.exponent for s in basis.at_zero) == [0, rat(1, 7), rat(5, 7)]
 
 
@@ -316,7 +313,7 @@ def test_companion_exponents_3a_theorem_member():
 
 
 def test_symmetric_matrix_gives_same_triples_at_infinity():
-    basis = companion_basis(CLASSES["7B"].representative)
+    basis = companion_basis(CLASSES["7B"])
     at0 = {s.params.upper for s in basis.at_zero}
     atinf = {s.params.upper for s in basis.at_infinity}
     assert at0 == atinf
@@ -447,11 +444,17 @@ def test_interlacing_on_catalog_classes():
     assert run_check("hpg-interlacing", 16).ok
 
 
+def add_member(monkeypatch, label, p):
+    """Make p a member of a class, as the 3F2 of a synthetic identity."""
+    spec = catalog.ident("wrong-member", "a synthetic evaluation", "x",
+                         [catalog.T(catalog.Hpg(p.upper, p.lower, "Phi3"))], [])
+    monkeypatch.setitem(catalog.IDENTITY_BY_ID, spec.id, spec)
+    monkeypatch.setitem(catalog.CLASS_MEMBERS, label, catalog.CLASS_MEMBERS[label] + (spec.id,))
+
+
 def test_interlacing_check_names_a_wrong_member(monkeypatch):
     wrong = p3("1/2", "1/2", "1/2", "1/3", "2/3")
-    cls = CLASSES["7B"]
-    monkeypatch.setitem(CLASSES, "7B", HpgClass(cls.label, cls.representative,
-                                                cls.members + (wrong,)))
+    add_member(monkeypatch, "7B", wrong)
     rep = run_check("hpg-interlacing", 16)
     assert rep.status == "fail"
     assert rep.detail == f"7B {wrong}: the conjugate at k=1 does not interlace"
@@ -461,9 +464,7 @@ def test_interlacing_check_names_a_wrong_conjugate(monkeypatch):
     # this set interlaces, but its conjugate at k=2 does not
     wrong = p3("1/7", "3/7", "5/7", "2/7", "4/7")
     assert interlacing_check(wrong)
-    cls = CLASSES["3A"]
-    monkeypatch.setitem(CLASSES, "3A", HpgClass(cls.label, cls.representative,
-                                                cls.members + (wrong,)))
+    add_member(monkeypatch, "3A", wrong)
     rep = run_check("hpg-interlacing", 16)
     assert rep.status == "fail"
     assert rep.detail == f"3A {wrong}: the conjugate at k=2 does not interlace"
@@ -487,12 +488,14 @@ def _as_multisets(p):
 
 
 def test_class_members_are_the_catalog_3f2_atoms():
-    """Each class member is the 3F2 of some identity, and each 3F2 of an
-    identity is a member, parameters compared as multisets (the right side
-    of t32a-quadratic states thm-7B-1's set in another order)."""
+    """Every 3F2 of an identity belongs to a class: it is the 3F2 of an
+    evaluation that ``CLASS_MEMBERS`` names, parameters compared as multisets
+    (the right side of t32a-quadratic states thm-7B-1's set in another order)."""
     atoms = {_as_multisets(f.params())
              for spec in IDENTITIES for term in spec.left + spec.right for f in term.factors
              if isinstance(f, catalog.Hpg) and len(f.upper) == 3}
-    members = {_as_multisets(p) for cls in CLASSES.values() for p in cls.members}
-    assert len(members) == 26
+    ids = [i for label in CLASSES for i in catalog.CLASS_MEMBERS[label]]
+    assert sorted(catalog.CLASS_MEMBERS) == sorted(CLASSES)
+    members = {_as_multisets(catalog._hpg_atom(i)) for i in ids}
+    assert len(ids) == len(members) == 26
     assert atoms == members

@@ -9,7 +9,14 @@ import pytest
 from darboux.polyalg import RationalMap, poly
 from darboux.scalars import QQ, Omega, rat
 from darboux.series import PuiseuxSeries, first_mismatch
-from darboux.catalog import CHECKS, IDENTITIES, IDENTITY_BY_ID, SUITES, run_check
+from darboux.catalog import (
+    CHECKS,
+    IDENTITIES,
+    IDENTITY_BY_ID,
+    SUITES,
+    run_check,
+    verify_radical_candidate_separation,
+)
 from darboux.report import INSUFFICIENT
 from darboux.verifier import (
     Pw,
@@ -18,7 +25,6 @@ from darboux.verifier import (
     exponent_slots,
     perturb,
     verify_identity,
-    verify_radical_candidate_separation,
 )
 from test_series import conjugate
 

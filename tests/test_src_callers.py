@@ -1,7 +1,8 @@
 """Every function and method in src/darboux is entered when the command line
 and the negative-control API run, or is on ``ALLOWED`` with the reason it
-stays and a test that needs it; and every dataclass field and ``__slots__``
-entry is read as an attribute somewhere in src/.
+stays and a test that needs it; every dataclass field and ``__slots__``
+entry is read as an attribute somewhere in src/; and every module-level name
+is read in its own module, imported, or read as an attribute in src/.
 
 The trace runs in a child process, so that it sees the package imported
 afresh and an empty memo: ``python tests/test_src_callers.py`` prints what
@@ -172,6 +173,39 @@ def test_every_field_is_read_in_src():
     fields, reads = _fields_and_reads()
     assert fields
     unread = {name: where for name, where in fields if name not in reads}
+    assert unread == {}, unread
+
+
+def _module_names_and_reads():
+    """Every name assigned at module level in src/ as (module, name,
+    file:line); the names each module loads; and every name imported from a
+    module or read as an attribute anywhere in src/."""
+    assigned, loads, imported = [], {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = loads.setdefault(path.stem, set())
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            assigned += [(path.stem, n.id, f"{path.name}:{stmt.lineno}")
+                         for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                own.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                imported.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+    return assigned, loads, imported
+
+
+def test_every_module_name_is_read_in_src():
+    # dunder names such as __all__ are read by the import system and tools
+    assigned, loads, imported = _module_names_and_reads()
+    assert assigned
+    unread = {name: where for module, name, where in assigned
+              if name not in loads[module] and name not in imported
+              and not name.startswith("__")}
     assert unread == {}, unread
 
 
